@@ -46,7 +46,7 @@ func (lc loopCase) String() string {
 func loopCases() []loopCase {
 	var cases []loopCase
 	for _, shards := range []int{0, 2} {
-		for _, b := range []Backend{Seq, Lock, STM, HTM, HTMBare, HLE, Hybrid} {
+		for _, b := range allBackends {
 			if b != STM && b != Hybrid {
 				cases = append(cases, loopCase{backend: b, shards: shards})
 				continue
@@ -221,5 +221,44 @@ func TestAtomicLoopGolden(t *testing.T) {
 		if wantLines[i] != gotLines[i] {
 			t.Errorf("diverges from golden:\n got %s\nwant %s", gotLines[i], wantLines[i])
 		}
+	}
+}
+
+// TestRetriesMatchesAbortEvents pins Ctx.Retries to its definition, block
+// by block under every backend: the aborted attempts of the last atomic
+// block, in any phase and restarts included, which is the number of
+// abort events the block sent to the flight recorder.
+func TestRetriesMatchesAbortEvents(t *testing.T) {
+	for _, b := range allBackends {
+		t.Run(b.String(), func(t *testing.T) {
+			sys := loopSystem(loopCase{backend: b})
+			rec := obs.NewRecorder("retries", 0)
+			sys.SetRecorder(rec)
+			seen := make([]int, sys.Arch.MaxThreads()) // events already counted, per thread
+			retried, failures := 0, 0
+			check := func(c *Ctx) {
+				tid := c.P.ID()
+				events := rec.ThreadEvents(tid)
+				aborts := 0
+				for _, e := range events[seen[tid]:] {
+					if e.Kind == obs.KTxAbort {
+						aborts++
+					}
+				}
+				seen[tid] = len(events)
+				if aborts > 0 {
+					retried++
+				}
+				if got := c.Retries(); got != aborts && failures < 5 {
+					failures++
+					t.Errorf("thread %d at cycle %d: Retries() = %d, recorder saw %d aborts",
+						tid, c.P.Cycles(), got, aborts)
+				}
+			}
+			sys.Run(4, 7, loopBody(b, 2*sys.Arch.L1.Lines(), check))
+			if retried == 0 {
+				t.Fatal("no block aborted: the check proved nothing")
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 // park-everything engine), since the two settings take different code
 // paths through the shard exchange.
 func TestShardAtomicCycleZeroAlloc(t *testing.T) {
-	for _, b := range []Backend{Lock, STM, HTM} {
+	for _, b := range []Backend{Lock, STM, HTM, HTMBare, HLE, Hybrid} {
 		for _, noClassifier := range []bool{false, true} {
 			b, noClassifier := b, noClassifier
 			name := b.String()

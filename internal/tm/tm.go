@@ -8,7 +8,8 @@
 //   - Seq: no synchronization — the sequential (non-TM) baseline every
 //     figure in the paper normalises against.
 //   - Lock: one global ticket spinlock around each atomic block.
-//   - STM: TinySTM (internal/stm) with retry-on-abort.
+//   - STM: a software TM (internal/stm: TinySTM, TL2 or NOrec) with
+//     retry-on-abort.
 //   - HTM: Haswell RTM (internal/htm) with the paper's Algorithm 1 —
 //     transactions read the serialisation lock after xbegin (adding it to
 //     their read set), explicitly abort if it is held, fall back to taking
@@ -18,6 +19,13 @@
 //     cache line ("lock aborts", Fig. 12).
 //   - HTMBare: RTM with plain retry and no fallback lock, used by the
 //     Table I overhead microbenchmark.
+//   - HLE: Hardware Lock Elision — one elided attempt, then the lock taken
+//     for real.
+//   - Hybrid: RTM with a software-transaction fallback instead of the
+//     serialisation lock.
+//
+// Every backend runs its atomic blocks through the one loop in policy.go;
+// a backend is only the policy value NewSystem looks up for it.
 package tm
 
 import (
@@ -28,7 +36,6 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/energy"
 	"rtmlab/internal/htm"
-	"rtmlab/internal/locks"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
 	"rtmlab/internal/perf"
@@ -76,19 +83,8 @@ func (b Backend) String() string {
 // serialisation lock ("when transactions fail more than eight times").
 const DefaultMaxRetries = 8
 
-// xabortLockHeld is the explicit-abort code used when a transaction sees
-// the serialisation lock held (Algorithm 1's _xabort(0)).
-const xabortLockHeld uint8 = 0
-
 // xabortRestart is the explicit-abort code used by Tx.Restart.
 const xabortRestart uint8 = 0xAB
-
-// Addresses of the synchronisation words, below the heap, each on its own
-// cache line.
-const (
-	serialLockAddr uint64 = 1 << 28
-	globalLockAddr uint64 = serialLockAddr + 2*arch.LineSize
-)
 
 // System owns one simulated machine plus the TM runtime for one backend.
 type System struct {
@@ -104,8 +100,7 @@ type System struct {
 	STM      *stm.System
 	Counters *perf.Set
 
-	serial locks.RW
-	global locks.Ticket
+	policy policy
 	pools  []*alloc.Pool
 	ctxs   []*Ctx
 
@@ -178,33 +173,15 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 		Backend:    backend,
 		MaxRetries: DefaultMaxRetries,
 		Counters:   perf.NewSet(),
-		serial:     locks.RW{Addr: serialLockAddr},
-		global:     locks.Ticket{Addr: globalLockAddr},
+		policy:     policies[backend],
 		pools:      make([]*alloc.Pool, cfg.MaxThreads()),
 		ctxs:       make([]*Ctx, cfg.MaxThreads()),
 	}
-	switch backend {
-	case Hybrid:
+	if s.policy.mode == modeHardware {
 		s.HTM = htm.NewSystem(cfg, h, pt)
-		s.STM = stm.NewSystem(cfg, h, pt)
-	case HTM, HTMBare, HLE:
-		s.HTM = htm.NewSystem(cfg, h, pt)
-		lockLine := mem.LineAddr(serialLockAddr)
-		s.HTM.AbortHook = func(tid int, a htm.Abort) {
-			cnt := s.cnt(tid)
-			switch {
-			case a.Cause == htm.CauseConflict && a.ConflictLine == lockLine:
-				cnt.Inc("tm:abort.lock")
-				cnt.Inc("tm:abort.lock.conflict")
-			case a.Cause == htm.CauseExplicit && htm.ExplicitCode(a.Status) == xabortLockHeld:
-				cnt.Inc("tm:abort.lock")
-				cnt.Inc("tm:abort.lock.explicit")
-			case a.Cause == htm.CauseConflict && a.ConflictLine == hleLockLine(),
-				a.Cause == htm.CauseExplicit && htm.ExplicitCode(a.Status) == xabortHLEHeld:
-				cnt.Inc("tm:abort.hlelock")
-			}
-		}
-	case STM:
+		s.HTM.AbortHook = s.countLockAbort
+	}
+	if s.policy.mode == modeSoftware || s.policy.fallback == modeSoftware {
 		s.STM = stm.NewSystem(cfg, h, pt)
 	}
 	if cfg.Shard.Shards != 0 {
@@ -217,19 +194,36 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 	return s
 }
 
+// countLockAbort classifies a hardware abort caused by a lock a fallback
+// path took: the serialisation lock ("lock aborts", Fig. 12) or the HLE
+// lock.
+func (s *System) countLockAbort(tid int, a htm.Abort) {
+	cnt := s.cnt(tid)
+	switch guardSerial.classify(a) {
+	case guardTaken:
+		cnt.Inc("tm:abort.lock")
+		cnt.Inc("tm:abort.lock.conflict")
+	case guardHeld:
+		cnt.Inc("tm:abort.lock")
+		cnt.Inc("tm:abort.lock.explicit")
+	default:
+		if guardHLE.classify(a) != aborted {
+			cnt.Inc("tm:abort.hlelock")
+		}
+	}
+}
+
 // Aborts returns the total transaction aborts so far (for energy
 // accounting).
 func (s *System) Aborts() uint64 {
-	switch s.Backend {
-	case HTM, HTMBare, HLE:
-		return s.HTM.Counters.Get(perf.RTMAborted)
-	case STM:
-		return s.STM.Counters.Get("stm:abort")
-	case Hybrid:
-		return s.HTM.Counters.Get(perf.RTMAborted) + s.STM.Counters.Get("stm:abort")
-	default:
-		return 0
+	var n uint64
+	if s.HTM != nil {
+		n += s.HTM.Counters.Get(perf.RTMAborted)
 	}
+	if s.STM != nil {
+		n += s.STM.Counters.Get("stm:abort")
+	}
+	return n
 }
 
 // Run executes body on n simulated threads, attaching a Ctx to each, and
@@ -298,13 +292,10 @@ func (s *System) attach(p *sim.Proc) *Ctx {
 		c.rmwOld = c.sys.H.Peek(c.rmwAddr)
 		c.sys.H.Poke(c.rmwAddr, c.rmwF(c.rmwOld))
 	}
-	switch s.Backend {
-	case HTM, HTMBare, HLE:
+	if s.HTM != nil {
 		c.htx = s.HTM.Attach(p)
-	case STM:
-		c.stx = s.STM.Attach(p)
-	case Hybrid:
-		c.htx = s.HTM.Attach(p)
+	}
+	if s.STM != nil {
 		c.stx = s.STM.Attach(p)
 	}
 	return c
@@ -322,8 +313,9 @@ type Ctx struct {
 	site  string
 	frees []pendingFree
 
-	// Retries counts HTM attempts of the current atomic block.
-	lastRetries int
+	// aborts counts the aborted attempts of the current (after it
+	// returns, the last) atomic block.
+	aborts int
 
 	// Flight-recorder state: the interned id of the current site, the
 	// cycle the atomic block started (commit slices span the whole block,
@@ -474,9 +466,11 @@ type Tx interface {
 // restartSignal implements Restart for the lock/seq backends.
 type restartSignal struct{}
 
-// Retries reports how many failed HTM attempts the last atomic block made
-// (0 for a first-try commit).
-func (c *Ctx) Retries() int { return c.lastRetries }
+// Retries reports how many attempts of the last atomic block aborted,
+// under any backend and in any phase — restarts included — which is the
+// number of abort events the block sent to the flight recorder (0 for a
+// first-try commit).
+func (c *Ctx) Retries() int { return c.aborts }
 
 // emit records a trace event if tracing is enabled. The trace buffer is
 // single-threaded, so shard workers buffer the event for boundary replay.
@@ -616,221 +610,6 @@ func obsCause(c htm.Cause) obs.Cause {
 		return obs.Cause(c)
 	}
 	return obs.CauseNone
-}
-
-// noteSiteAbort records a per-site abort with its cause label.
-func (c *Ctx) noteSiteAbort(cause string) {
-	if c.site == "" {
-		return
-	}
-	cnt := c.cnt()
-	cnt.Inc("site:" + c.site + ":aborts")
-	cnt.Inc("site:" + c.site + ":abort." + cause)
-}
-
-// Atomic executes body atomically under the system's backend.
-func (c *Ctx) Atomic(body func(t Tx)) {
-	if c.inTx {
-		panic("tm: nested Atomic (flatten in the workload)")
-	}
-	c.inTx = true
-	defer func() { c.inTx = false }()
-	c.cnt().Inc("tm:atomic")
-	c.resetFrees()
-	c.blockStart = c.P.Cycles()
-	c.attemptStart = c.blockStart
-	switch c.sys.Backend {
-	case Seq:
-		c.atomicDirect(body, rawTx{c})
-		c.obsCommit(0)
-	case Lock:
-		c.global()
-		c.atomicDirect(body, rawTx{c})
-		c.sys.global.Unlock(c)
-		c.obsCommit(0)
-	case STM:
-		c.atomicSTM(body)
-	case HTM:
-		c.atomicHTM(body, false)
-	case HTMBare:
-		c.atomicHTM(body, true)
-	case HLE:
-		c.atomicHLE(body)
-	case Hybrid:
-		c.atomicHybrid(body)
-	}
-	c.applyFrees()
-}
-
-// global acquires the global lock for the Lock backend.
-func (c *Ctx) global() { c.sys.global.Lock(c) }
-
-// atomicDirect runs body with direct accesses, honouring Restart. Each
-// iteration is one recorded attempt; a voluntary restart wastes its
-// attempt like any abort (cause "none"), keeping spans balanced.
-func (c *Ctx) atomicDirect(body func(t Tx), t Tx) {
-	for {
-		again := func() (again bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, is := r.(restartSignal); is {
-						c.obsAbort(obs.CauseNone, 0, -1)
-						again = true
-						return
-					}
-					panic(r)
-				}
-			}()
-			c.resetFrees()
-			c.beginAttempt()
-			body(t)
-			return false
-		}()
-		if !again {
-			return
-		}
-	}
-}
-
-// atomicSTM retries the body under TinySTM until it commits.
-func (c *Ctx) atomicSTM(body func(t Tx)) {
-	tries := 0
-	for {
-		tries++
-		done := func() (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					a, is := r.(stm.Abort)
-					if !is {
-						// Sharded engine: a doomed attempt can fault in
-						// workload code on a mixed-epoch view before
-						// commit-time validation rejects it; squash the
-						// fault into the abort (see recoverHTM).
-						if !c.P.Sharded() {
-							panic(r)
-						}
-						fa, fok := c.stx.Fault()
-						if !fok {
-							panic(r)
-						}
-						c.cnt().Inc("tm:fault.sandbox")
-						a = fa
-					}
-					c.noteSiteAbort(a.Reason.String())
-					c.emit(trace.KindAbort, a.Reason.String())
-					c.obsAbort(a.Reason.ObsCause(), a.Addr, a.By)
-					ok = false
-					return
-				}
-			}()
-			c.resetFrees()
-			c.beginAttempt()
-			c.emit(trace.KindBegin, "")
-			c.stx.Begin()
-			body(stmTx{c})
-			c.stx.Commit()
-			c.emit(trace.KindCommit, "")
-			return true
-		}()
-		if done {
-			c.obsCommit(tries - 1)
-			return
-		}
-	}
-}
-
-// atomicHTM implements Algorithm 1 from the paper.
-func (c *Ctx) atomicHTM(body func(t Tx), bare bool) {
-	s := c.sys
-	retries := 0
-	for {
-		retries++
-		abort := c.tryHTM(body, bare)
-		if abort == nil {
-			c.lastRetries = retries - 1
-			c.obsCommit(retries - 1)
-			return
-		}
-		if !bare {
-			// If the abort says the serialisation lock was held (either
-			// our explicit abort or a conflict on the lock line), wait for
-			// it to be free before retrying.
-			lockHeld := (abort.Cause == htm.CauseExplicit && htm.ExplicitCode(abort.Status) == xabortLockHeld) ||
-				(abort.Cause == htm.CauseConflict && abort.ConflictLine == mem.LineAddr(serialLockAddr))
-			if lockHeld {
-				for !locks.CanRead(c.Load(serialLockAddr)) {
-					c.Pause()
-				}
-			}
-			if retries >= s.MaxRetries {
-				break
-			}
-		}
-	}
-	// Fall-back path: serialise on the write side of the lock. The lock
-	// write conflict-aborts every transaction that read the lock word.
-	c.cnt().Inc("tm:fallback")
-	c.emit(trace.KindFallback, "")
-	c.obsInstant(obs.KTxFallback)
-	s.serial.WriteLock(c)
-	c.atomicDirect(body, rawTx{c})
-	s.serial.WriteUnlock(c)
-	c.lastRetries = retries
-	c.obsCommit(retries)
-}
-
-// recoverHTM is the shared recovery for one hardware attempt: an
-// htm.Abort panic becomes the returned abort. Under the sharded engine a
-// runtime fault raised by the body is squashed into an abort too — a
-// doomed attempt can observe mixed-epoch state after the conflict that
-// kills it (the classic engine delivers the abort eagerly, the sharded
-// one at the next TM operation) and crash in workload code first. That
-// matches hardware, where any synchronous exception inside a
-// transactional region aborts it and the fault only reaches the OS if
-// the non-speculative re-execution repeats it; here the fallback paths
-// run the body non-speculatively, so a genuine workload bug still
-// crashes. Faults under the classic engine (which is opaque) propagate.
-func (c *Ctx) recoverHTM(r any, abort **htm.Abort) {
-	a, is := r.(htm.Abort)
-	if !is {
-		if !c.P.Sharded() {
-			panic(r)
-		}
-		fa, ok := c.htx.Fault()
-		if !ok {
-			panic(r)
-		}
-		c.cnt().Inc("tm:fault.sandbox")
-		a = fa
-	}
-	c.noteSiteAbort(a.Cause.String())
-	c.emit(trace.KindAbort, a.Cause.String())
-	c.obsAbort(obsCause(a.Cause), a.ConflictLine, a.ByThread)
-	*abort = &a
-}
-
-// tryHTM makes one hardware attempt; it returns nil on commit.
-func (c *Ctx) tryHTM(body func(t Tx), bare bool) (abort *htm.Abort) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.recoverHTM(r, &abort)
-		}
-	}()
-	c.resetFrees()
-	c.beginAttempt()
-	c.emit(trace.KindBegin, "")
-	c.sys.HTM.Begin(c.htx)
-	if !bare {
-		// Algorithm 1: subscribe to the serialisation lock inside the
-		// transaction; abort explicitly if a fallback writer holds it.
-		if !locks.CanRead(c.htx.Load(serialLockAddr)) {
-			c.htx.XAbort(xabortLockHeld)
-		}
-	}
-	body(htmTx{c})
-	c.htx.Commit()
-	c.emit(trace.KindCommit, "")
-	return nil
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).

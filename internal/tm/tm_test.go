@@ -8,12 +8,15 @@ import (
 	"rtmlab/internal/sim"
 )
 
-var allBackends = []Backend{Seq, Lock, STM, HTM, HTMBare}
+var allBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, HLE, Hybrid}
 
 var concurrentBackends = []Backend{Lock, STM, HTM, HTMBare}
 
 func TestBackendNames(t *testing.T) {
-	want := map[Backend]string{Seq: "seq", Lock: "lock", STM: "tinystm", HTM: "rtm", HTMBare: "rtm-bare"}
+	want := map[Backend]string{Seq: "seq", Lock: "lock", STM: "tinystm", HTM: "rtm", HTMBare: "rtm-bare", HLE: "hle", Hybrid: "hybrid"}
+	if len(want) != len(allBackends) || len(policies) != len(allBackends) {
+		t.Fatalf("%d names and %d policies for %d backends", len(want), len(policies), len(allBackends))
+	}
 	for b, n := range want {
 		if b.String() != n {
 			t.Errorf("%d -> %q, want %q", b, b.String(), n)
