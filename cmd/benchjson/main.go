@@ -233,8 +233,8 @@ func compare(base, cur Snapshot, tolPct float64, only string) (string, bool) {
 		}
 	}
 	// Shard-scaling slice of the same summary: how the sharded engine's
-	// wall-clock (classic + every shards=N × classifier point) moved
-	// relative to the baseline snapshot.
+	// wall-clock (classic + every shards=N point) moved relative to the
+	// baseline snapshot.
 	if shardGeoN > 0 {
 		geomean := math.Exp(shardLogSum / float64(shardGeoN))
 		fmt.Fprintf(&sb, "shard-scaling geomean ns/op ratio vs baseline: %.3fx over %d benchmarks (%+.1f%%)\n",

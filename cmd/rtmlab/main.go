@@ -62,7 +62,6 @@ func main() {
 		traceLimit = flag.Int("trace-limit", 1<<16, "max events kept per thread track (0 = unbounded)")
 		shards     = flag.Int("shards", 0, "intra-point engine shards: 0 = classic serial engine, N > 0 = N epoch-synchronized workers, -1 = auto (one per simulated core); output is byte-identical for any shards >= 1")
 		epochCyc   = flag.Uint64("epoch-cycles", 0, "coherence-epoch length in simulated cycles for -shards (0 = default)")
-		classifier = flag.Bool("shard-classifier", true, "ownership classifier for -shards: serve frozen-private accesses and conflict claims inside the epoch (false = park-everything engine); a semantic knob, byte-identical per setting at any shards >= 1")
 		stmProto   = flag.String("stm-protocol", stm.TinySTMName, "STM concurrency-control protocol: tinystm (encounter-time locking) | tl2 (commit-time locking) | norec (single sequence lock, value validation, no lock array); a semantic knob, byte-identical per setting at any -j/-shards")
 	)
 	flag.Parse()
@@ -71,8 +70,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -stm-protocol %q (want tinystm, tl2 or norec)\n", *stmProto)
 		os.Exit(2)
 	}
+	if *epochCyc != 0 && *shards == 0 {
+		fmt.Fprintln(os.Stderr, "-epoch-cycles applies only to the sharded engine; add -shards N")
+		os.Exit(2)
+	}
 	o := harness.Options{Seeds: *seeds, OutDir: *outDir, Jobs: *jobs,
-		Shards: *shards, EpochCycles: *epochCyc, NoClassifier: !*classifier}
+		Shards: *shards, EpochCycles: *epochCyc}
 	if *stmProto != stm.TinySTMName {
 		// The default stays "", keeping default runs on the pristine
 		// fast path (and their output bytes unchanged).
@@ -84,7 +87,7 @@ func main() {
 		if *shards != 0 && ec == 0 {
 			ec = arch.DefaultEpochCycles
 		}
-		o.Obs.SetRunConfig(*shards, ec, *shards != 0 && !*classifier, o.STMProtocol)
+		o.Obs.SetRunConfig(*shards, ec, o.STMProtocol)
 	}
 	switch *scale {
 	case "test":

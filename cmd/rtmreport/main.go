@@ -9,14 +9,13 @@
 //	rtmreport -json out/metrics/fig10.json
 //
 // Diff mode — two sidecars of the same experiment (protocol A vs B,
-// -shard-classifier on vs off, shards 1 vs N), compared metric by
-// metric. Semantic metrics (committed atomic blocks, per-site commits)
-// must match across engine knobs; timing-derived metrics (latency,
-// aborts, serial fraction, ...) get deltas and regression verdicts
-// against -tol-pct:
+// classic engine vs -shards N), compared metric by metric. Semantic
+// metrics (committed atomic blocks, per-site commits) must match across
+// engines; timing-derived metrics (latency, aborts, serial fraction, ...)
+// get deltas and regression verdicts against -tol-pct:
 //
 //	rtmreport -diff a/fig10.json b/fig10.json
-//	rtmreport -diff -same-commits -tol-pct 15 on/table4.json off/table4.json
+//	rtmreport -diff -same-commits -tol-pct 15 classic/table4.json sharded/table4.json
 //
 // Points pair by label. Labels are self-describing (they name the
 // backend, so an STM point under -stm-protocol norec is labelled

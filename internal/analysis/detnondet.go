@@ -47,15 +47,6 @@ func deterministicUnit(u *Unit) bool {
 	return false
 }
 
-// globalRandFuncs are the math/rand package-level functions that draw
-// from the process-global, scheduling-dependent source.
-var globalRandFuncs = []string{
-	"Int", "Intn", "Int31", "Int31n", "Int63", "Int63n", "IntN", "Int32", "Int32N", "Int64", "Int64N",
-	"Uint32", "Uint64", "UintN", "Uint32N", "Uint64N", "N",
-	"Float32", "Float64", "ExpFloat64", "NormFloat64",
-	"Perm", "Shuffle", "Seed", "Read",
-}
-
 // runDetNonDet flags nondeterminism sources in deterministic packages.
 func runDetNonDet(u *Unit) []Diagnostic {
 	const pass = "detnondet"
@@ -67,21 +58,27 @@ func runDetNonDet(u *Unit) []Diagnostic {
 		body := fn.decl.Body
 
 		// Direct calls to wall-clock, global-rand and goroutine-identity
-		// sources anywhere in the function.
+		// sources anywhere in the function. The wall-clock and randomness
+		// sources are the effect engine's stdlib intrinsics, which tell
+		// package functions (the global stream) from methods (a seeded
+		// *rand.Rand).
 		ast.Inspect(body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			obj := calleeObj(u.Info, call)
+			var in intrinsicEffect
+			if f, ok := obj.(*types.Func); ok {
+				in, _ = intrinsicFor(f)
+			}
 			switch {
-			case isPkgFunc(obj, "time", "Now", "Since", "Until"):
+			case in.bits&EffTime != 0:
 				diags = append(diags, u.diag(pass, call.Pos(),
 					"call to time.%s in deterministic package; time must come from the simulated clock", obj.Name()))
-			case isPkgFunc(obj, "math/rand", globalRandFuncs...) ||
-				isPkgFunc(obj, "math/rand/v2", globalRandFuncs...):
+			case in.bits&EffRand != 0:
 				diags = append(diags, u.diag(pass, call.Pos(),
-					"global math/rand.%s in deterministic package; use a seeded internal/rng generator", obj.Name()))
+					"global %s.%s in deterministic package; use a seeded internal/rng generator", obj.Pkg().Path(), obj.Name()))
 			case isPkgFunc(obj, "runtime", "NumGoroutine", "Stack"):
 				diags = append(diags, u.diag(pass, call.Pos(),
 					"runtime.%s leaks goroutine identity into a deterministic package", obj.Name()))

@@ -31,6 +31,11 @@ func seededRandOK() *rand.Rand {
 	return rand.New(rand.NewSource(42))
 }
 
+func seededRandMethodOK() int {
+	r := rand.New(rand.NewSource(42))
+	return r.Intn(8)
+}
+
 func envBranch() int {
 	if os.Getenv("RTMLAB_FAST") != "" { // want `os\.Getenv`
 		return 1

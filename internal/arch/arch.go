@@ -131,22 +131,7 @@ type Sharding struct {
 	// transactional conflict checks) is exchanged at epoch boundaries in
 	// (cycle, thread) order. 0 means DefaultEpochCycles.
 	EpochCycles uint64
-	// NoClassifier disables the epoch-scoped ownership classifier (on by
-	// default for sharded runs): with the classifier on, accesses whose
-	// frozen directory state proves no cross-core coherence action is
-	// needed — L3 hits with no foreign owner, full misses, exclusive
-	// store upgrades — are served inside the epoch against shard-local
-	// shadow state, with a compact ownership delta replayed at the
-	// boundary. Like EpochCycles, the classifier setting is a semantic
-	// knob: each setting is byte-identical across any worker count, but
-	// the two settings legitimately differ in simulated timing.
-	// NoClassifier=true reproduces the park-everything PR 5 engine.
-	NoClassifier bool
 }
-
-// Classifier reports whether the ownership classifier is enabled for
-// this sharding configuration.
-func (s Sharding) Classifier() bool { return s.Shards != 0 && !s.NoClassifier }
 
 // DefaultEpochCycles is the coherence-epoch length used when
 // Sharding.EpochCycles is zero.

@@ -50,9 +50,6 @@ type Options struct {
 	// EpochCycles overrides the coherence-epoch length of the sharded
 	// engine (0 = arch.DefaultEpochCycles).
 	EpochCycles uint64
-	// NoClassifier disables the sharded engine's ownership classifier
-	// (see arch.Sharding); meaningful only with Shards != 0.
-	NoClassifier bool
 	// STMProtocol selects the software-TM concurrency-control protocol
 	// for every STM (and hybrid-fallback) run: "tinystm" (default; ""
 	// means the same), "tl2" or "norec". See internal/stm. Table and
@@ -83,7 +80,7 @@ func (o Options) backendLabel(b tm.Backend) string {
 
 // sharding returns the arch.Sharding the options describe.
 func (o Options) sharding() arch.Sharding {
-	return arch.Sharding{Shards: o.Shards, EpochCycles: o.EpochCycles, NoClassifier: o.NoClassifier}
+	return arch.Sharding{Shards: o.Shards, EpochCycles: o.EpochCycles}
 }
 
 // Machine returns the simulated machine description with the options'

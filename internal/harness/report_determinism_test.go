@@ -14,8 +14,8 @@ import (
 
 // TestReportDeterminismMatrix extends the byte-identity guarantee to the
 // rtmreport observatory: the metrics sidecar, the rendered causal report
-// (text and JSON) and the run diff must be byte-identical for every
-// combination of runner fan-out and shard count, per classifier setting.
+// (text and JSON) and the classic-vs-sharded run diff must be
+// byte-identical for every combination of runner fan-out and shard count.
 // Reports are pure functions of the sidecar bytes, so this pins both the
 // sidecar (span/blame/latency content included) and the renderers
 // (no map-iteration ordering leaks into the output).
@@ -23,11 +23,11 @@ func TestReportDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs table4 at test scale once per matrix cell")
 	}
-	sidecar := func(jobs, shards int, noClassifier bool) []byte {
+	sidecar := func(jobs, shards int) []byte {
 		t.Helper()
 		col := obs.NewCollector(1 << 14)
 		o := Options{Scale: stamp.Test, Seeds: 1, OutDir: t.TempDir(), Jobs: jobs,
-			Shards: shards, NoClassifier: noClassifier, Obs: col}
+			Shards: shards, Obs: col}
 		Table4(io.Discard, o)
 		dir := t.TempDir()
 		if err := col.WriteMetrics(dir); err != nil {
@@ -69,21 +69,24 @@ func TestReportDeterminismMatrix(t *testing.T) {
 		return buf.Bytes(), js
 	}
 
-	base := sidecar(1, 1, false)
-	baseOff := sidecar(1, 1, true)
+	classic := map[int][]byte{1: sidecar(1, 0), 8: sidecar(8, 0)}
+	if !bytes.Equal(classic[1], classic[8]) {
+		t.Errorf("classic metrics sidecar differs between jobs=1 and jobs=8")
+	}
+	base := sidecar(1, 1)
 	baseText, baseJSON := render(base)
 	if len(baseText) == 0 || !bytes.Contains(baseText, []byte("latency: p50")) {
 		t.Fatalf("report missing causal content:\n%s", baseText)
 	}
 	var baseDiff bytes.Buffer
-	obs.WriteDiff(&baseDiff, diffBytes(t, base, baseOff))
+	obs.WriteDiff(&baseDiff, diffBytes(t, classic[1], base))
 
 	for _, shards := range []int{1, 4} {
 		for _, jobs := range []int{1, 8} {
 			if shards == 1 && jobs == 1 {
 				continue
 			}
-			got := sidecar(jobs, shards, false)
+			got := sidecar(jobs, shards)
 			if !bytes.Equal(got, base) {
 				t.Errorf("metrics sidecar differs at shards=%d jobs=%d", shards, jobs)
 				continue
@@ -95,24 +98,20 @@ func TestReportDeterminismMatrix(t *testing.T) {
 			if !bytes.Equal(js, baseJSON) {
 				t.Errorf("report JSON differs at shards=%d jobs=%d", shards, jobs)
 			}
-			gotOff := sidecar(jobs, shards, true)
-			if !bytes.Equal(gotOff, baseOff) {
-				t.Errorf("classifier-off sidecar differs at shards=%d jobs=%d", shards, jobs)
-				continue
-			}
 			var diff bytes.Buffer
-			obs.WriteDiff(&diff, diffBytes(t, got, gotOff))
+			obs.WriteDiff(&diff, diffBytes(t, classic[jobs], got))
 			if !bytes.Equal(diff.Bytes(), baseDiff.Bytes()) {
 				t.Errorf("diff output differs at shards=%d jobs=%d", shards, jobs)
 			}
 		}
 	}
 
-	// The ci.sh gate property: the classifier is a timing knob, so the
-	// on-vs-off diff must be semantically clean.
-	d := diffBytes(t, base, baseOff)
+	// The ci.sh gate property: the two engines time threads differently
+	// but run the same atomic blocks, so the classic-vs-sharded diff must
+	// be semantically clean.
+	d := diffBytes(t, classic[1], base)
 	if d.SemanticMismatches != 0 {
-		t.Errorf("classifier on vs off: %d semantic mismatches (commit counts must not move)",
+		t.Errorf("classic vs sharded: %d semantic mismatches (commit counts must not move)",
 			d.SemanticMismatches)
 	}
 }

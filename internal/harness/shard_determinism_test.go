@@ -17,48 +17,82 @@ import (
 // at the harness level: a full experiment (Table IV, which runs STAMP
 // setup plus multi-threaded regions under several backends) emits
 // byte-identical tables and CSVs for every combination of shard count
-// and runner fan-out, separately for each classifier setting. Shards
-// >= 1 all use the epoch-synchronized engine, whose semantics depend
-// only on the epoch length and the classifier knob — never on how many
+// and runner fan-out. Shards >= 1 all use the epoch-synchronized engine,
+// whose semantics depend only on the epoch length — never on how many
 // engine shards or host workers carry the threads — and -j only changes
-// which worker runs which point. The ownership classifier is a semantic
-// knob (it changes when deferred ops interleave), so classifier-on and
-// classifier-off each pin their own byte-identity class rather than one
-// shared baseline.
+// which worker runs which point. The park-path ablations get the same
+// shard-count check on a STAMP kernel, since Table IV never runs them.
 func TestShardMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs table4 at test scale once per matrix cell")
 	}
-	run := func(shards, jobs int, noClassifier bool) (string, []byte) {
+	run := func(shards, jobs int) (string, []byte) {
 		t.Helper()
 		dir := t.TempDir()
-		o := Options{Scale: stamp.Test, Seeds: 1, OutDir: dir, Jobs: jobs,
-			Shards: shards, NoClassifier: noClassifier}
+		o := Options{Scale: stamp.Test, Seeds: 1, OutDir: dir, Jobs: jobs, Shards: shards}
 		var buf bytes.Buffer
 		Table4(&buf, o)
 		csv, err := os.ReadFile(filepath.Join(dir, "table4.csv"))
 		if err != nil {
-			t.Fatalf("shards=%d jobs=%d noClassifier=%v: %v", shards, jobs, noClassifier, err)
+			t.Fatalf("shards=%d jobs=%d: %v", shards, jobs, err)
 		}
 		return buf.String(), csv
 	}
-	for _, noClassifier := range []bool{false, true} {
-		baseOut, baseCSV := run(1, 1, noClassifier)
-		for _, shards := range []int{1, 2, 4, 8} {
-			for _, jobs := range []int{1, 8} {
-				if shards == 1 && jobs == 1 {
-					continue
+	baseOut, baseCSV := run(1, 1)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, jobs := range []int{1, 8} {
+			if shards == 1 && jobs == 1 {
+				continue
+			}
+			out, csv := run(shards, jobs)
+			if out != baseOut {
+				t.Errorf("table4 output differs at shards=%d jobs=%d:\n--- base ---\n%s--- got ---\n%s",
+					shards, jobs, baseOut, out)
+			}
+			if !bytes.Equal(csv, baseCSV) {
+				t.Errorf("table4 CSV differs at shards=%d jobs=%d", shards, jobs)
+			}
+		}
+	}
+	for _, ab := range parkAblations[1:] { // the default is Table IV's
+		for _, backend := range []tm.Backend{tm.HTM, tm.STM} {
+			base, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(1, ab.mod))
+			if err != nil {
+				t.Fatalf("%s %v shards=1: %v", ab.name, backend, err)
+			}
+			for _, shards := range []int{2, 4, 8} {
+				got, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(shards, ab.mod))
+				if err != nil {
+					t.Fatalf("%s %v shards=%d: %v", ab.name, backend, shards, err)
 				}
-				out, csv := run(shards, jobs, noClassifier)
-				if out != baseOut {
-					t.Errorf("table4 output differs at shards=%d jobs=%d noClassifier=%v:\n--- base ---\n%s--- got ---\n%s",
-						shards, jobs, noClassifier, baseOut, out)
-				}
-				if !bytes.Equal(csv, baseCSV) {
-					t.Errorf("table4 CSV differs at shards=%d jobs=%d noClassifier=%v", shards, jobs, noClassifier)
+				if !reflect.DeepEqual(base, got) {
+					t.Errorf("%s %v: results differ between shards=1 and shards=%d:\n%+v\nvs\n%+v",
+						ab.name, backend, shards, base, got)
 				}
 			}
 		}
+	}
+}
+
+// parkAblations are the existing ablation settings that force the
+// sharded engine's park path, applied through a stamp config hook: the
+// next-line prefetcher parks every L1 miss, and the finite DRAM channel
+// parks every full miss. The default configuration ("") is listed first.
+var parkAblations = []struct {
+	name string
+	mod  func(*tm.System)
+}{
+	{"", func(*tm.System) {}},
+	{"prefetch", func(s *tm.System) { s.Arch.Lat.PrefetchNextLine = true }},
+	{"membw", func(s *tm.System) { s.Arch.Lat.MemBandwidthGap = 16 }},
+}
+
+// shardMod runs a STAMP kernel on the sharded engine with an ablation
+// applied; shards == 0 keeps the classic engine.
+func shardMod(shards int, ablation func(*tm.System)) func(*tm.System) {
+	return func(sys *tm.System) {
+		sys.Arch.Shard = arch.Sharding{Shards: shards}
+		ablation(sys)
 	}
 }
 
@@ -69,34 +103,30 @@ func TestShardMatrixDeterminism(t *testing.T) {
 // differ), but the application executes the same input-determined set of
 // atomic blocks either way, so committed-transaction totals must match —
 // a lost update or phantom commit in the shard exchange would break the
-// equality or the validation.
+// equality or the validation. Each park-path ablation is checked against
+// the classic engine under the same ablation.
 func TestShardStampDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs genome at test scale under several engines")
 	}
-	shardMod := func(shards int, noClassifier bool) func(sys *tm.System) {
-		return func(sys *tm.System) {
-			sys.Arch.Shard = arch.Sharding{Shards: shards, NoClassifier: noClassifier}
-		}
-	}
-	for _, backend := range []tm.Backend{tm.HTM, tm.STM} {
-		classic, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, nil)
-		if err != nil {
-			t.Fatalf("%v classic: %v", backend, err)
-		}
-		for _, noClassifier := range []bool{false, true} {
-			s2, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(2, noClassifier))
+	for _, ab := range parkAblations {
+		for _, backend := range []tm.Backend{tm.HTM, tm.STM} {
+			classic, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(0, ab.mod))
 			if err != nil {
-				t.Fatalf("%v shards=2 noClassifier=%v: %v", backend, noClassifier, err)
+				t.Fatalf("%s %v classic: %v", ab.name, backend, err)
 			}
-			s4, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(4, noClassifier))
+			s2, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(2, ab.mod))
 			if err != nil {
-				t.Fatalf("%v shards=4 noClassifier=%v: %v", backend, noClassifier, err)
+				t.Fatalf("%s %v shards=2: %v", ab.name, backend, err)
+			}
+			s4, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(4, ab.mod))
+			if err != nil {
+				t.Fatalf("%s %v shards=4: %v", ab.name, backend, err)
 			}
 			// Shard-count invariance is exact: every field, cycles included.
 			if !reflect.DeepEqual(s2, s4) {
-				t.Errorf("%v noClassifier=%v: results differ between shards=2 and shards=4:\n%+v\nvs\n%+v",
-					backend, noClassifier, s2, s4)
+				t.Errorf("%s %v: results differ between shards=2 and shards=4:\n%+v\nvs\n%+v",
+					ab.name, backend, s2, s4)
 			}
 			// Classic vs sharded: same committed work, independently timed.
 			// Commits counts hardware commits, so fallback-lock completions
@@ -105,8 +135,8 @@ func TestShardStampDifferential(t *testing.T) {
 			classicDone := classic.Commits + classic.Fallbacks
 			shardedDone := s2.Commits + s2.Fallbacks
 			if classicDone != shardedDone {
-				t.Errorf("%v noClassifier=%v: completed atomic blocks differ: classic %d (%d fb) vs sharded %d (%d fb)",
-					backend, noClassifier, classicDone, classic.Fallbacks, shardedDone, s2.Fallbacks)
+				t.Errorf("%s %v: completed atomic blocks differ: classic %d (%d fb) vs sharded %d (%d fb)",
+					ab.name, backend, classicDone, classic.Fallbacks, shardedDone, s2.Fallbacks)
 			}
 		}
 	}

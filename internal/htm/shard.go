@@ -72,11 +72,11 @@ func (s *System) initShard(p *sim.Proc, tx *Txn) {
 	} else {
 		s.bwr.Clear() // epoch ordinals restart with each region's engine
 	}
-	// Per-core directory slices ride the ownership classifier: both serve
-	// the common case from frozen private state. The L2-bounded read-set
+	// Per-core directory slices serve the common case from frozen private
+	// state, like the ownership classifier in mem. The L2-bounded read-set
 	// ablation keeps its eviction hook slice-unaware, so slices stay off
 	// there.
-	if s.cfg.Shard.Classifier() && s.cfg.TSX.ReadSetLevel != 2 {
+	if s.cfg.TSX.ReadSetLevel != 2 {
 		if s.slices == nil {
 			s.slices = make([]*lineset.Table[track], s.cfg.Cores)
 			for i := range s.slices {

@@ -58,11 +58,10 @@ const (
 )
 
 // shardState is the per-hierarchy ownership-classifier state for the
-// epoch-synchronized sharded engine. Non-nil only when a sharded region
-// with the classifier enabled is running. The per-core sets are
-// epoch-scoped: they record only transitions made since the last
-// boundary (the frozen L3 directory itself is the epoch-start seed) and
-// are cleared by ShardEpochReset. Each set is written exclusively by its
+// epoch-synchronized sharded engine, allocated by the first InitShard.
+// The per-core sets are epoch-scoped: they record only transitions made
+// since the last boundary (the frozen L3 directory itself is the
+// epoch-start seed) and are cleared by ShardEpochReset. Each set is written exclusively by its
 // core's shard worker mid-epoch — the same single-owner contract as the
 // private L1/L2 — and read by the coordinator at boundaries.
 type shardState struct {
@@ -70,15 +69,9 @@ type shardState struct {
 	claimed   []*lineset.Set // lines this core claimed exclusive this epoch
 }
 
-// InitShard arms (or disarms) the ownership classifier for a sharded
-// region. With classifier=false every access that PR 5's narrow
-// private-cache classes cannot serve parks for the boundary, exactly as
-// before.
-func (h *Hierarchy) InitShard(classifier bool) {
-	if !classifier {
-		h.shard = nil
-		return
-	}
+// InitShard arms the ownership classifier for a sharded region, reusing
+// (and clearing) the tables of an earlier region.
+func (h *Hierarchy) InitShard() {
 	if h.shard != nil {
 		h.ShardEpochReset()
 		return
@@ -94,17 +87,11 @@ func (h *Hierarchy) InitShard(classifier bool) {
 	h.shard = s
 }
 
-// ShardClassifier reports whether the ownership classifier is armed.
-func (h *Hierarchy) ShardClassifier() bool { return h.shard != nil }
-
 // ShardEpochReset clears the epoch-scoped classifier tables. The engine
 // calls it at every epoch boundary, after the ownership deltas have been
 // replayed into the live directory.
 func (h *Hierarchy) ShardEpochReset() {
 	s := h.shard
-	if s == nil {
-		return
-	}
 	for i := range s.installed {
 		s.installed[i].Clear()
 		s.claimed[i].Clear()
@@ -196,9 +183,9 @@ func (v *View) Read(addr uint64) int64 {
 }
 
 // LocalLoad attempts the shard-local portion of a load by core: an L1
-// hit, an L2 hit with an L1 fill, or — with the ownership classifier
-// armed — an L3 access whose frozen directory state proves no foreign
-// coherence action is needed (no foreign owner, or a clean full miss),
+// hit, an L2 hit with an L1 fill, or — through the ownership classifier —
+// an L3 access whose frozen directory state proves no foreign coherence
+// action is needed (no foreign owner, or a clean full miss),
 // served against the private caches with the directory transition
 // deferred as an ownership delta. It returns the access latency and true
 // if the load completed, or (0, false) if the access must be parked for
@@ -228,9 +215,9 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 		return h.cfg.Lat.L2Hit, true
 	}
 	s := h.shard
-	if s == nil || sink == nil || h.Hooks.OnL2Evict != nil {
-		// Classifier off, or the L2-ablation eviction hook is wired (it
-		// is not shard-safe, so no local L2 fills): park for the boundary.
+	if sink == nil || h.Hooks.OnL2Evict != nil {
+		// No sink, or the L2-ablation eviction hook is wired (it is not
+		// shard-safe, so no local L2 fills): park for the boundary.
 		return 0, false
 	}
 	dir := h.l3.peekLine(la)
@@ -261,9 +248,9 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 	return lat, true
 }
 
-// LocalStore attempts the shard-local portion of a store by core. The
-// PR 5 class — present in L1/L2 and already exclusively owned — needs no
-// directory transition at all. With the ownership classifier armed, three
+// LocalStore attempts the shard-local portion of a store by core. A line
+// present in L1/L2 and already exclusively owned needs no directory
+// transition at all. Through the ownership classifier, three
 // wider classes complete locally with the exclusive claim deferred as an
 // ownership delta: a silent E->M upgrade of a line whose frozen state
 // shows no foreign copy, a store hitting the frozen L3 on a line private
@@ -287,7 +274,7 @@ func (h *Hierarchy) LocalStore(core int, addr uint64, stats *Stats, sink ShardSi
 			// foreign copy (a nil dir means this core installed the line
 			// this epoch — inclusivity leaves no other way it could be in
 			// a private cache).
-			if s == nil || sink == nil {
+			if sink == nil {
 				return 0, false
 			}
 			if dir != nil && (dir.sharers&^bit(core) != 0 || (dir.owner >= 0 && int(dir.owner) != core)) {
@@ -311,7 +298,7 @@ func (h *Hierarchy) LocalStore(core int, addr uint64, stats *Stats, sink ShardSi
 		}
 		return cost, true
 	}
-	if s == nil || sink == nil || h.Hooks.OnL2Evict != nil {
+	if sink == nil || h.Hooks.OnL2Evict != nil {
 		return 0, false
 	}
 	// Store miss in the private caches: serveable only when frozen state

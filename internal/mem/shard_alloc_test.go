@@ -25,7 +25,7 @@ func (nopSink) DeferMemDelta(op uint8, lineAddr uint64)                {}
 // working set, so one warm-up cycle reaches steady state.
 func TestShardLocalAccessZeroAlloc(t *testing.T) {
 	h := New(arch.Haswell())
-	h.InitShard(true)
+	h.InitShard()
 	var stats Stats
 	sink := nopSink{}
 	const lines = 64

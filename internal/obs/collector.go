@@ -26,22 +26,20 @@ type Collector struct {
 	// Run configuration stamped into the sidecars (see SetRunConfig);
 	// zero values mean the classic serial engine and the default
 	// (tinystm) protocol.
-	shards       int
-	epochCycles  uint64
-	noClassifier bool
-	stmProtocol  string
+	shards      int
+	epochCycles uint64
+	stmProtocol string
 }
 
 // SetRunConfig records the run configuration so the sidecars are
 // self-describing: shards and the effective epoch length in simulated
-// cycles, whether the ownership classifier was disabled, and the STM
-// protocol when it is not the default ("" for tinystm). Host wall-clock
-// depends on the engine knobs, and semantic metrics depend on the
-// protocol, so a sidecar without them cannot be compared across runs.
-func (c *Collector) SetRunConfig(shards int, epochCycles uint64, noClassifier bool, stmProtocol string) {
+// cycles, and the STM protocol when it is not the default ("" for
+// tinystm). Host wall-clock depends on the engine knobs, and semantic
+// metrics depend on the protocol, so a sidecar without them cannot be
+// compared across runs.
+func (c *Collector) SetRunConfig(shards int, epochCycles uint64, stmProtocol string) {
 	c.shards = shards
 	c.epochCycles = epochCycles
-	c.noClassifier = noClassifier
 	c.stmProtocol = stmProtocol
 }
 

@@ -319,17 +319,16 @@ type TimingJSON struct {
 }
 
 // TimingDoc is one experiment's timing sidecar document. The engine
-// configuration (shards, effective epoch length, classifier) is embedded
+// configuration (shards, effective epoch length) is embedded
 // because host wall-clock depends on it: a timing sidecar that does not
 // say what engine produced it cannot be compared across runs.
 type TimingDoc struct {
-	Schema       string       `json:"schema"`
-	Experiment   string       `json:"experiment"`
-	Shards       int          `json:"shards,omitempty"`
-	EpochCycles  uint64       `json:"epoch_cycles,omitempty"`
-	NoClassifier bool         `json:"no_classifier,omitempty"`
-	STMProtocol  string       `json:"stm_protocol,omitempty"`
-	Points       []TimingJSON `json:"points"`
+	Schema      string       `json:"schema"`
+	Experiment  string       `json:"experiment"`
+	Shards      int          `json:"shards,omitempty"`
+	EpochCycles uint64       `json:"epoch_cycles,omitempty"`
+	STMProtocol string       `json:"stm_protocol,omitempty"`
+	Points      []TimingJSON `json:"points"`
 }
 
 // expGroup is one experiment scope's recorders in merge order.
@@ -370,18 +369,6 @@ func docFor(g expGroup) MetricsJSON {
 		doc.Aggregate = &s
 	}
 	return doc
-}
-
-// metricsByExperiment groups recorders into per-experiment documents in
-// scope order.
-func (c *Collector) metricsByExperiment() []MetricsJSON {
-	var docs []MetricsJSON
-	for _, g := range c.groups() {
-		doc := docFor(g)
-		doc.STMProtocol = c.stmProtocol
-		docs = append(docs, doc)
-	}
-	return docs
 }
 
 // timing builds a group's timing document; Points is empty when no
@@ -447,7 +434,6 @@ func (c *Collector) WriteMetrics(dir string) error {
 		if td := g.timing(); len(td.Points) > 0 {
 			td.Shards = c.shards
 			td.EpochCycles = c.epochCycles
-			td.NoClassifier = c.noClassifier
 			td.STMProtocol = c.stmProtocol
 			data, err := json.MarshalIndent(td, "", "  ")
 			if err != nil {
@@ -459,16 +445,6 @@ func (c *Collector) WriteMetrics(dir string) error {
 		}
 	}
 	return nil
-}
-
-// WriteSummary renders every experiment's text summary table to w.
-func (c *Collector) WriteSummary(w io.Writer) {
-	if c == nil {
-		return
-	}
-	for _, doc := range c.metricsByExperiment() {
-		writeSummaryDoc(w, doc)
-	}
 }
 
 func writeSummaryDoc(w io.Writer, doc MetricsJSON) {

@@ -189,12 +189,19 @@ func TestCollectorMergeOrder(t *testing.T) {
 		for p, r := range recs {
 			r.TxCommit(0, uint64(100*(p+1)), 0, -1, p)
 		}
-		var tr, sum bytes.Buffer
+		var tr bytes.Buffer
 		if err := c.WriteChromeTrace(&tr); err != nil {
 			t.Fatal(err)
 		}
-		c.WriteSummary(&sum)
-		return tr.String(), sum.String()
+		dir := t.TempDir()
+		if err := c.WriteMetrics(dir); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := os.ReadFile(dir + "/exp.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.String(), string(sum)
 	}
 	t1, s1 := build([]int{0, 1, 2})
 	t2, s2 := build([]int{2, 0, 1})
@@ -253,9 +260,11 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if err := c.WriteChromeTrace(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	c.WriteSummary(&buf)
-	if err := c.WriteMetrics(t.TempDir()); err != nil {
+	dir := t.TempDir()
+	if err := c.WriteMetrics(dir); err != nil {
 		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("nil collector wrote %d files (err %v)", len(ents), err)
 	}
 }

@@ -193,7 +193,7 @@ func newShardEngine(e *Engine) *shardEngine {
 		epochLen: cfg.Shard.Epoch(),
 		done:     make(chan struct{}, nw),
 	}
-	e.H.InitShard(cfg.Shard.Classifier())
+	e.H.InitShard()
 	se.end = se.epochLen
 	for i := 0; i < nw; i++ {
 		se.workers = append(se.workers, &shardWorker{

@@ -91,7 +91,7 @@ func (tinySTM) Store(t *Txn, addr uint64, val int64) {
 		// CAS win; the local abort trades that near-miss for keeping the
 		// spin-retry loop (backoff, re-read of the cached lock line)
 		// entirely inside the epoch.
-		if w := t.proc.PeekShared(lockAddr); s.cfg.Shard.Classifier() && isLocked(w) {
+		if w := t.proc.PeekShared(lockAddr); isLocked(w) {
 			t.proc.Load(lockAddr)
 			t.abort(ReasonLocked, lockOwner(w), lockAddr)
 		}

@@ -13,21 +13,26 @@ import (
 // park, exchange and replay it triggers — allocates nothing. A new
 // allocation on this path would show up as per-transaction garbage in
 // every sharded experiment.
-// Runs with the ownership classifier both on (locally-served accesses,
-// conflict-slice claims, deferred ownership deltas) and off (the
-// park-everything engine), since the two settings take different code
-// paths through the shard exchange.
+// Besides the default configuration (locally-served accesses,
+// conflict-slice claims, deferred ownership deltas), each backend runs
+// under two ablations that force the park path: the L2-bounded read set
+// (no directory slices, so every conflict probe is deferred, and no local
+// L2 fills) and the next-line prefetcher (every L1 miss parks).
 func TestShardAtomicCycleZeroAlloc(t *testing.T) {
+	variants := []struct {
+		name string
+		mod  func(*arch.Config)
+	}{
+		{"", func(*arch.Config) {}},
+		{"/read-set-l2", func(cfg *arch.Config) { cfg.TSX.ReadSetLevel = 2 }},
+		{"/prefetch", func(cfg *arch.Config) { cfg.Lat.PrefetchNextLine = true }},
+	}
 	for _, b := range []Backend{Lock, STM, HTM, HTMBare, HLE, Hybrid} {
-		for _, noClassifier := range []bool{false, true} {
-			b, noClassifier := b, noClassifier
-			name := b.String()
-			if noClassifier {
-				name += "/no-classifier"
-			}
-			t.Run(name, func(t *testing.T) {
+		for _, v := range variants {
+			b, v := b, v
+			t.Run(b.String()+v.name, func(t *testing.T) {
 				cfg := shardCfg(2, 0)
-				cfg.Shard.NoClassifier = noClassifier
+				v.mod(cfg)
 				sys := NewSystem(cfg, b)
 				for i := 0; i < 8; i++ {
 					sys.H.Poke(uint64(i)*arch.LineSize, int64(i))

@@ -43,44 +43,30 @@ func shardScalingBody(c *Ctx) {
 // BenchmarkShardThroughput measures wall-clock time to simulate one
 // 16-thread region under the classic serial engine and under the sharded
 // engine at increasing worker counts, reporting simulated-cycle
-// throughput as simMcycles/s. The sharded variants within one classifier
-// setting all simulate the byte-identical region (worker count never
-// changes semantics), so their ns/op ratio is a pure host-parallelism
-// speedup: shards=8 vs shards=1 approaches the host's core count (flat
-// on a single-core host, where the workers time-share one CPU). Each
-// sharded point runs with the ownership classifier on (default) and off
-// (/no-classifier, the park-everything engine) — the pair measures how
-// much serial boundary work the classifier removes from the epoch loop.
+// throughput as simMcycles/s. The sharded variants all simulate the
+// byte-identical region (worker count never changes semantics), so their
+// ns/op ratio is a pure host-parallelism speedup: shards=8 vs shards=1
+// approaches the host's core count (flat on a single-core host, where the
+// workers time-share one CPU).
 func BenchmarkShardThroughput(b *testing.B) {
 	for _, shards := range []int{0, 1, 2, 4, 8} {
-		for _, noClassifier := range []bool{false, true} {
-			if shards == 0 && noClassifier {
-				continue // the classic engine has no classifier to disable
-			}
-			name := "classic"
-			if shards > 0 {
-				name = fmt.Sprintf("shards=%d", shards)
-				if noClassifier {
-					name += "/no-classifier"
-				}
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := wideBenchCfg(shards)
-				if shards != 0 {
-					cfg.Shard.NoClassifier = noClassifier
-				}
-				var simCycles uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys := NewSystem(cfg, HTM)
-					res := sys.Run(16, 7, shardScalingBody)
-					simCycles += res.Cycles
-				}
-				b.StopTimer()
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(simCycles)/1e6/secs, "simMcycles/s")
-				}
-			})
+		name := "classic"
+		if shards > 0 {
+			name = fmt.Sprintf("shards=%d", shards)
 		}
+		b.Run(name, func(b *testing.B) {
+			cfg := wideBenchCfg(shards)
+			var simCycles uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys := NewSystem(cfg, HTM)
+				res := sys.Run(16, 7, shardScalingBody)
+				simCycles += res.Cycles
+			}
+			b.StopTimer()
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(simCycles)/1e6/secs, "simMcycles/s")
+			}
+		})
 	}
 }

@@ -115,15 +115,24 @@ func TestShardSingleThreadDifferential(t *testing.T) {
 
 // TestShardCountInvariance is the tentpole determinism claim at the tm
 // level: the sharded engine's results depend only on the epoch length,
-// never on the worker count.
+// never on the worker count. The L2-bounded read-set ablation runs too:
+// it turns the per-core directory slices off, so every conflict probe
+// takes the deferred boundary path.
 func TestShardCountInvariance(t *testing.T) {
 	for _, b := range shardBackends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			want := bankRun(shardCfg(1, 0), b, 4, 120)
-			for _, shards := range []int{2, 4, -1} {
-				got := bankRun(shardCfg(shards, 0), b, 4, 120)
-				diffFingerprint(t, want, got, fmt.Sprintf("shards=%d vs shards=1", shards))
+			for _, rsl := range []int{3, 2} {
+				cfg := func(shards int) *arch.Config {
+					c := shardCfg(shards, 0)
+					c.TSX.ReadSetLevel = rsl
+					return c
+				}
+				want := bankRun(cfg(1), b, 4, 120)
+				for _, shards := range []int{2, 4, -1} {
+					got := bankRun(cfg(shards), b, 4, 120)
+					diffFingerprint(t, want, got, fmt.Sprintf("read-set L%d: shards=%d vs shards=1", rsl, shards))
+				}
 			}
 		})
 	}

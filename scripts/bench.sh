@@ -18,20 +18,13 @@ go test -run '^$' -bench . -benchmem -benchtime "${BENCHTIME:-1s}" \
     ./internal/lineset ./internal/mem ./internal/sim ./internal/htm | tee "$tmp"
 
 echo "== shard scaling (sharded engine vs classic; host-core dependent) =="
-# Each shards=N point runs as a classifier on/off pair: the default
-# (ownership classifier armed) and /no-classifier (the park-everything
-# engine), so the snapshot records how much boundary-serial work the
-# classifier removes alongside the worker-count scaling curve.
 go test -run '^$' -bench BenchmarkShardThroughput -benchmem -benchtime 3x \
     ./internal/tm | tee -a "$tmp"
 awk -v nproc="$(nproc 2>/dev/null || echo '?')" \
     '$1 ~ /BenchmarkShardThroughput\/shards=1(-[0-9]+)?$/ {s1=$3}
      $1 ~ /BenchmarkShardThroughput\/shards=8(-[0-9]+)?$/ {s8=$3}
-     $1 ~ /BenchmarkShardThroughput\/shards=8\/no-classifier(-[0-9]+)?$/ {s8off=$3}
      END { if (s1 > 0 && s8 > 0)
-             printf "bench: shards=8 vs shards=1 wall-clock speedup %.2fx (bounded by host cores: %s)\n", s1/s8, nproc
-           if (s8 > 0 && s8off > 0)
-             printf "bench: classifier on vs off at shards=8: %.2fx wall-clock\n", s8off/s8 }' "$tmp"
+             printf "bench: shards=8 vs shards=1 wall-clock speedup %.2fx (bounded by host cores: %s)\n", s1/s8, nproc }' "$tmp"
 
 echo "== stm protocol throughput (tinystm vs tl2 vs norec) =="
 # One snapshot line per concurrency-control protocol on the same

@@ -58,21 +58,13 @@ go run ./cmd/tracecheck -metrics "$obsdir/metrics4/table4.json" -sharded "$obsdi
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 1 -j 1 table4 > "$obsdir/out1.txt"
 cmp "$obsdir/out1.txt" "$obsdir/out4.txt"
 
-echo "== ownership classifier gate (per-setting invariance) =="
-# The classifier is a semantic knob: -shard-classifier=false reproduces
-# the park-everything engine, so classifier-on and classifier-off are
-# each their own byte-identity class (a literal on-vs-off cmp would fail
-# by design on multi-threaded points). Gate: classifier-off output is
-# also invariant across shard counts, and differs from classic output in
-# no way (shards=1 park-everything serializes identically at any count).
-go run ./cmd/rtmlab -scale test -seeds 1 -shards 4 -shard-classifier=false table4 > "$obsdir/out4off.txt"
-go run ./cmd/rtmlab -scale test -seeds 1 -shards 1 -shard-classifier=false -j 1 table4 > "$obsdir/out1off.txt"
-cmp "$obsdir/out1off.txt" "$obsdir/out4off.txt"
-# Classic engine smoke alongside: same experiment, serial engine — the
-# cross-engine result equivalence (committed atomic blocks, validation)
-# is pinned by TestShardStampDifferential rather than a byte cmp, since
-# classic and sharded engines time threads differently by design.
-go run ./cmd/rtmlab -scale test -seeds 1 table4 > /dev/null
+echo "== flag validation =="
+# -epoch-cycles configures the sharded engine only; without -shards it
+# must be rejected rather than silently ignored.
+if go run ./cmd/rtmlab -scale test -seeds 1 -epoch-cycles 999 table4 > /dev/null 2>&1; then
+    echo "rtmlab accepted -epoch-cycles without -shards"
+    exit 1
+fi
 
 echo "== stm protocol smoke (tinystm/tl2/norec, traced point each) =="
 # One traced STM-exercising point per -stm-protocol setting: the trace
@@ -90,17 +82,17 @@ for proto in tinystm tl2 norec; do
     cmp "$obsdir/hybrid-$proto-j1.txt" "$obsdir/hybrid-$proto-j8.txt"
 done
 
-echo "== rtmreport smoke (causal report + run diff gate) =="
-# The causal report must render from both sidecars produced above, and
-# the run-diff observatory must verify the classifier invariant the
-# cheap way: classifier-on vs classifier-off runs of the same experiment
-# agree on every semantic metric (committed atomic blocks, per-site
-# commits) and differ only in timing-derived metrics. -same-commits
-# turns a semantic drift into a non-zero exit.
+echo "== rtmreport smoke (causal report + cross-engine diff gate) =="
+# The causal report must render from the sharded sidecar produced above,
+# and the run-diff observatory must verify the cross-engine invariant:
+# the classic and sharded runs of table4 above time threads differently
+# but execute the same atomic blocks, so they agree on every semantic
+# metric (committed atomic blocks, per-site commits) and differ only in
+# timing-derived metrics. -same-commits turns a semantic drift into a
+# non-zero exit.
 go run ./cmd/rtmreport "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -json "$obsdir/metrics4/table4.json" > /dev/null
-go run ./cmd/rtmlab -scale test -seeds 1 -shards 4 -shard-classifier=false -metrics "$obsdir/metrics4off" table4 > /dev/null
-go run ./cmd/rtmreport -diff -same-commits "$obsdir/metrics4/table4.json" "$obsdir/metrics4off/table4.json" > /dev/null
+go run ./cmd/rtmreport -diff -same-commits "$obsdir/metrics/table4.json" "$obsdir/metrics4/table4.json" > /dev/null
 
 echo "== disabled-recorder overhead gate (htm vs committed snapshot) =="
 # The flight recorder must cost nothing when off: every site is a nil
