@@ -169,12 +169,38 @@ func parseLine(pkg, line string) (Benchmark, bool) {
 	return b, true
 }
 
+// cpuSuffix returns the "-N" that go test appended to every result name
+// in s (N is GOMAXPROCS; go test omits it on a 1-CPU host), or "" when
+// the names do not all end in the same one. A suffix on only some names
+// is part of those names: BenchmarkFig6Locality/0e-1 ends in -1 on its
+// own.
+func cpuSuffix(s Snapshot) string {
+	sfx := ""
+	for i, b := range s.Benchmarks {
+		j := strings.LastIndexByte(b.Name, '-')
+		if j < 0 {
+			return ""
+		}
+		if _, err := strconv.ParseUint(b.Name[j+1:], 10, 64); err != nil {
+			return ""
+		}
+		if i > 0 && b.Name[j:] != sfx {
+			return ""
+		}
+		sfx = b.Name[j:]
+	}
+	return sfx
+}
+
 // minNs reduces a snapshot to the minimum ns/op seen per
-// (package, name) — the conventional multi-run noise filter.
+// (package, name) — the conventional multi-run noise filter. Names are
+// keyed without the snapshot's cpuSuffix, so runs taken at different
+// GOMAXPROCS compare.
 func minNs(s Snapshot) map[string]float64 {
 	out := map[string]float64{}
+	sfx := cpuSuffix(s)
 	for _, b := range s.Benchmarks {
-		key := b.Package + "." + b.Name
+		key := b.Package + "." + strings.TrimSuffix(b.Name, sfx)
 		if cur, ok := out[key]; !ok || b.NsPerOp < cur {
 			out[key] = b.NsPerOp
 		}
@@ -184,9 +210,10 @@ func minNs(s Snapshot) map[string]float64 {
 
 // compare reports ns/op deltas for benchmarks present in both snapshots
 // and whether any regressed beyond tolPct percent. only, when non-empty,
-// restricts the comparison to keys containing that substring.
+// restricts the comparison to keys containing that substring. Report
+// lines name each benchmark as the current run printed it.
 func compare(base, cur Snapshot, tolPct float64, only string) (string, bool) {
-	baseNs, curNs := minNs(base), minNs(cur)
+	baseNs, curNs, sfx := minNs(base), minNs(cur), cpuSuffix(cur)
 	keys := make([]string, 0, len(curNs))
 	for k := range curNs {
 		if _, ok := baseNs[k]; ok && (only == "" || strings.Contains(k, only)) {
@@ -216,7 +243,7 @@ func compare(base, cur Snapshot, tolPct float64, only string) (string, bool) {
 		if deltaPct > tolPct {
 			verdict = "high" // informational: the gate is on the geomean
 		}
-		fmt.Fprintf(&sb, "%-60s %10.1f -> %10.1f ns/op  %+6.1f%%  %s\n", k, b, c, deltaPct, verdict)
+		fmt.Fprintf(&sb, "%-60s %10.1f -> %10.1f ns/op  %+6.1f%%  %s\n", k+sfx, b, c, deltaPct, verdict)
 	}
 	if len(keys) == 0 {
 		fmt.Fprintf(&sb, "no overlapping benchmarks between baseline and current run\n")

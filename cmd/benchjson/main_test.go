@@ -116,3 +116,40 @@ func TestCompareMinOfRunsAndTolerance(t *testing.T) {
 		t.Fatalf("empty comparison should fail:\n%s", report)
 	}
 }
+
+// TestCompareAcrossCPUSuffix compares a 2-CPU run, whose names go test
+// suffixes with -2, against a 1-CPU baseline without suffixes. Names
+// that end in -1 on their own must keep it.
+func TestCompareAcrossCPUSuffix(t *testing.T) {
+	base := Snapshot{Benchmarks: []Benchmark{
+		bm("p", "BenchmarkYieldHandoff", 100),
+		bm("p", "BenchmarkFig6Locality/0e-1", 100),
+		bm("p", "BenchmarkFig8Predominance/1e-1", 100),
+	}}
+	cur := Snapshot{Benchmarks: []Benchmark{
+		bm("p", "BenchmarkYieldHandoff-2", 100),
+		bm("p", "BenchmarkFig6Locality/0e-1-2", 101),
+		bm("p", "BenchmarkFig8Predominance/1e-1-2", 99),
+	}}
+	if got := cpuSuffix(base); got != "" {
+		t.Errorf("cpuSuffix(1-CPU run) = %q, want none", got)
+	}
+	if got := cpuSuffix(cur); got != "-2" {
+		t.Errorf("cpuSuffix(2-CPU run) = %q, want -2", got)
+	}
+	for _, s := range []Snapshot{base, cur} {
+		ns := minNs(s)
+		for _, k := range []string{"p.BenchmarkYieldHandoff", "p.BenchmarkFig6Locality/0e-1", "p.BenchmarkFig8Predominance/1e-1"} {
+			if _, ok := ns[k]; !ok {
+				t.Errorf("minNs keys %v lack %q", ns, k)
+			}
+		}
+	}
+	report, regressed := compare(base, cur, 2.0, "")
+	if regressed {
+		t.Fatalf("unchanged timings across a CPU suffix regressed:\n%s", report)
+	}
+	if !strings.Contains(report, "over 3 benchmarks") {
+		t.Errorf("want all 3 benchmarks compared:\n%s", report)
+	}
+}

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkYieldFastPath measures the scheduling point when the running
 // thread stays the minimum (heap empty after the sibling finishes): the
-// yield must cost two compares and no channel traffic.
+// yield must cost two compares and no coroutine switch.
 func BenchmarkYieldFastPath(b *testing.B) {
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
@@ -27,7 +27,8 @@ func BenchmarkYieldFastPath(b *testing.B) {
 
 // BenchmarkYieldHandoff measures the slow path: two threads with
 // identical costs alternate on every operation, so each yield is a full
-// replace-min plus a goroutine handoff.
+// replace-min plus two coroutine switches: out to Run's loop, then into
+// the other thread.
 func BenchmarkYieldHandoff(b *testing.B) {
 	cfg := arch.Haswell()
 	h := mem.New(cfg)

@@ -1,5 +1,5 @@
 // Package sim is the deterministic multicore execution engine. Simulated
-// hardware threads are goroutines that yield to a min-clock scheduler at
+// hardware threads are coroutines that yield to a min-clock scheduler at
 // every simulated operation; exactly one simulated thread runs at a time,
 // and the runnable thread with the smallest local cycle clock always runs
 // next (ties broken by thread id). This approximates the wall-clock
@@ -28,7 +28,8 @@ const (
 )
 
 // Proc is one simulated hardware thread. All methods must be called from
-// the goroutine executing the thread's body.
+// the thread's body, which runs in its own coroutine (see pull), or
+// inline on Run's caller for a single-thread classic region.
 type Proc struct {
 	id    int
 	core  int
@@ -36,7 +37,6 @@ type Proc struct {
 	instr uint64
 	state procState
 	eng   *Engine
-	rsm   chan struct{}
 
 	// sh is the per-thread state of the epoch-synchronized sharded
 	// engine (shard.go); nil under the classic min-clock engine.
@@ -48,6 +48,11 @@ type Proc struct {
 	// PreOp, if non-nil, runs before every simulated operation. The TM
 	// layer uses it to deliver pending aborts at operation boundaries.
 	PreOp func()
+
+	// resume and suspend switch into and out of the thread's coroutine
+	// (see pull); nil for an inline single-thread region.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
 }
 
 // ID returns the hardware-thread id (0-based).
@@ -201,7 +206,7 @@ func (p *Proc) Pause() {
 
 // yield hands the CPU model to the runnable thread with the smallest
 // clock. The fast path (this thread is still the minimum, or it is the
-// only live thread) costs two compares and no channel traffic.
+// only live thread) costs two compares and no coroutine switch.
 func (p *Proc) yield() {
 	e := p.eng
 	if e.single || len(e.heap) == 0 || p.less(e.heap[0]) {
@@ -213,11 +218,8 @@ func (p *Proc) yield() {
 	// the push+pop pair.
 	p.state = stateRunnable
 	e.switches++
-	next := e.replaceMin(p)
-	next.state = stateRunning
-	next.rsm <- struct{}{}
-	<-p.rsm
-	p.state = stateRunning
+	e.next = e.replaceMin(p)
+	p.park()
 }
 
 // less orders procs by (clock, id).
@@ -233,14 +235,17 @@ func (p *Proc) block() {
 	e := p.eng
 	p.state = stateBlocked
 	e.switches++
-	next := e.pop()
-	if next == nil {
+	if e.next = e.pop(); e.next == nil {
 		panic(fmt.Sprintf("sim: deadlock: thread %d blocked with no runnable threads", p.id))
 	}
-	next.state = stateRunning
-	next.rsm <- struct{}{}
-	<-p.rsm
-	p.state = stateRunning
+	p.park()
+}
+
+// park suspends the thread's coroutine until its engine resumes it.
+func (p *Proc) park() {
+	if !p.suspend(struct{}{}) {
+		panic("sim: thread coroutine stopped while suspended")
+	}
 }
 
 // unblock makes q runnable again (caller must be the running proc).
@@ -249,22 +254,20 @@ func (p *Proc) unblock(q *Proc) {
 	p.eng.push(q)
 }
 
-// finish marks the thread done and hands off.
+// finish marks the thread done and picks the next thread to run; the
+// body's coroutine then returns.
 func (p *Proc) finish() {
+	if p.sh != nil {
+		p.shardFinish()
+		return
+	}
 	e := p.eng
 	p.state = stateDone
 	e.coreLive[p.core]--
 	e.remaining--
-	if e.remaining == 0 {
-		e.finished <- struct{}{}
-		return
-	}
-	next := e.pop()
-	if next == nil {
+	if e.next = e.pop(); e.next == nil && e.remaining > 0 {
 		panic(fmt.Sprintf("sim: deadlock: thread %d finished but %d threads are blocked", p.id, e.remaining))
 	}
-	next.state = stateRunning
-	next.rsm <- struct{}{}
 }
 
 // Engine drives one parallel region.
@@ -275,8 +278,8 @@ type Engine struct {
 	procs     []*Proc
 	heap      []*Proc
 	remaining int
-	finished  chan struct{}
-	single    bool // fast path for single-threaded regions
+	next      *Proc // the thread the classic engine resumes next; nil ends the region
+	single    bool  // fast path for single-threaded regions
 
 	// Hyper-threading model: when coreLive[c] > 1 the sibling threads
 	// share the core pipeline and every op costs htNum/htDen x its solo
@@ -361,9 +364,6 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			eng:  e,
 			Rng:  rng.New(seed*0x9e3779b9 + uint64(i) + 1),
 		}
-		if !e.single {
-			p.rsm = make(chan struct{})
-		}
 		e.procs = append(e.procs, p)
 		e.coreLive[p.core]++
 	}
@@ -378,15 +378,9 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			setup(p)
 		}
 	}
-	if se != nil {
-		se.run(body)
-		for _, p := range e.procs {
-			h.Stats = h.Stats.Add(p.sh.stats)
-			e.switches += p.sh.parks
-		}
-	} else if e.single {
+	if e.single {
 		// Single-threaded regions need no scheduling: run the body inline
-		// on the caller's goroutine, skipping the channels and handoffs
+		// on the caller's goroutine, skipping the coroutines and handoffs
 		// entirely. Every op's yield takes the e.single fast path.
 		p := e.procs[0]
 		p.state = stateRunning
@@ -395,23 +389,32 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 		e.coreLive[p.core]--
 		e.remaining--
 	} else {
-		e.finished = make(chan struct{})
 		for _, p := range e.procs {
-			p := p
-			go func() {
-				<-p.rsm
-				p.state = stateRunning
+			p.resume, _ = pull(func(suspend func(struct{}) bool) {
+				p.suspend = suspend
 				body(p)
 				p.finish()
-			}()
+			})
 		}
-		// Start every thread except the first in the heap; kick off
-		// thread 0.
-		for i := n - 1; i >= 1; i-- {
-			e.push(e.procs[i])
+		if se != nil {
+			se.run()
+			for _, p := range e.procs {
+				h.Stats = h.Stats.Add(p.sh.stats)
+				e.switches += p.sh.parks
+			}
+		} else {
+			// Every thread but the first starts in the heap; the loop
+			// resumes whichever thread the last one to suspend picked. A
+			// panic in a body (a deadlock, say) leaves resume and reaches
+			// Run's caller; the other threads stay suspended.
+			for i := n - 1; i >= 1; i-- {
+				e.push(e.procs[i])
+			}
+			for next := e.procs[0]; next != nil; next = e.next {
+				next.state = stateRunning
+				next.resume()
+			}
 		}
-		e.procs[0].rsm <- struct{}{}
-		<-e.finished
 	}
 
 	res := Result{

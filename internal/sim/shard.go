@@ -2,9 +2,9 @@
 //
 // The classic engine (engine.go) interleaves simulated threads serially
 // under a min-clock scheduler. The sharded engine instead partitions the
-// physical cores into contiguous shards, runs each shard's threads on a
-// real goroutine worker, and quantizes simulated time into coherence
-// epochs of Cfg.Shard.Epoch() cycles:
+// physical cores into contiguous shards, runs each shard's threads (as
+// coroutines) on a real goroutine worker, and quantizes simulated time
+// into coherence epochs of Cfg.Shard.Epoch() cycles:
 //
 //   - Parallel phase: every shard runs its threads (one at a time, in
 //     thread-id order) against frozen shared state. Operations served
@@ -130,8 +130,8 @@ type procShard struct {
 	opFn    func()
 	opRet   int64
 	// panicVal carries a panic raised inside an exclusive fn (which runs
-	// on the coordinator) back to the owning goroutine, preserving the
-	// TM layers' abort-by-panic control flow.
+	// on the coordinator) back to the owning thread's coroutine,
+	// preserving the TM layers' abort-by-panic control flow.
 	panicVal any
 
 	parks       uint64 // total parks (op parks + epoch-end yield parks)
@@ -146,7 +146,6 @@ type shardWorker struct {
 	se    *shardEngine
 	procs []*Proc
 	wake  chan struct{}
-	idle  chan struct{} // proc -> worker handoff when a proc parks
 }
 
 type shardEngine struct {
@@ -199,7 +198,6 @@ func newShardEngine(e *Engine) *shardEngine {
 		se.workers = append(se.workers, &shardWorker{
 			se:   se,
 			wake: make(chan struct{}, 1),
-			idle: make(chan struct{}),
 		})
 	}
 	for _, p := range e.procs {
@@ -221,18 +219,10 @@ func newShardEngine(e *Engine) *shardEngine {
 
 // run executes the region: parallel epochs alternating with serial
 // boundaries until every thread's body has returned.
-func (se *shardEngine) run(body func(*Proc)) {
+func (se *shardEngine) run() {
 	e := se.e
 	for _, w := range se.workers {
 		go w.loop()
-	}
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			<-p.rsm
-			body(p)
-			p.shardFinish()
-		}()
 	}
 	for {
 		se.epochs++
@@ -269,8 +259,7 @@ func (w *shardWorker) loop() {
 		end := w.se.end
 		for _, p := range w.procs {
 			for p.sh.status == shRun && p.clock < end {
-				p.rsm <- struct{}{}
-				<-w.idle
+				p.resume()
 			}
 		}
 		w.se.done <- struct{}{}
@@ -469,7 +458,8 @@ func (se *shardEngine) applyDef(p *Proc, d *ShardDef) {
 
 // execPark executes a thread's parked synchronous operation at the
 // boundary. Panics raised by exclusive fns (transaction aborts delivered
-// by the TM layers) are captured and re-raised on the owning goroutine.
+// by the TM layers) are captured and re-raised in the owning thread's
+// coroutine.
 func (se *shardEngine) execPark(p *Proc) {
 	ps := p.sh
 	h := se.e.H
@@ -552,8 +542,8 @@ func (p *Proc) ShardActive() bool {
 // the classic engine it runs inline (the engine is already serial); in
 // the shard parallel phase the thread parks and fn runs at the next
 // epoch boundary in (cycle, thread) order. fn may use the full direct
-// Proc API (timed loads/stores, clock advances); panics unwind on p's
-// own goroutine. Hot callers should pre-bind fn once and pass parameters
+// Proc API (timed loads/stores, clock advances); panics unwind in p's
+// own coroutine. Hot callers should pre-bind fn once and pass parameters
 // through fields to stay allocation-free.
 func (p *Proc) Exclusive(fn func()) {
 	if p.ShardActive() {
@@ -661,8 +651,7 @@ func (p *Proc) shardYield() {
 		return
 	}
 	ps.parks++
-	ps.w.idle <- struct{}{}
-	<-p.rsm
+	p.park()
 }
 
 // shardParkOp parks the thread with a synchronous operation; the
@@ -681,8 +670,7 @@ func (p *Proc) shardParkOp(kind uint8, addr uint64, val int64, fn func()) int64 
 	ps.status = shOpWait
 	ps.parks++
 	ps.opParks++
-	ps.w.idle <- struct{}{}
-	<-p.rsm
+	p.park()
 	if v := ps.panicVal; v != nil {
 		ps.panicVal = nil
 		panic(v)
@@ -693,11 +681,10 @@ func (p *Proc) shardParkOp(kind uint8, addr uint64, val int64, fn func()) int64 
 // shardFinish runs after the thread body returns: the bookkeeping
 // (core-liveness, remaining count) is applied at a boundary in cycle
 // order so sibling hyper-thread scaling changes deterministically, then
-// the goroutine hands control back to its worker and exits.
+// the body's coroutine returns to its worker.
 func (p *Proc) shardFinish() {
 	p.shardParkOp(pExcl, 0, 0, p.sh.finishFn)
 	p.sh.status = shDone
-	p.sh.w.idle <- struct{}{}
 }
 
 // shardBlock converts the current boundary execution of this thread's

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"rtmlab/internal/arch"
@@ -308,5 +309,55 @@ func TestAddWorkCountsInstr(t *testing.T) {
 	})
 	if res.Instr[0] != 50 || res.Cycles != 50 {
 		t.Fatalf("AddWork: instr=%d cycles=%d", res.Instr[0], res.Cycles)
+	}
+}
+
+func TestDeadlockPanicsOutOfRun(t *testing.T) {
+	// runRecover runs body on n threads and returns what Run panicked
+	// with: the panic is raised inside a thread's coroutine and must
+	// reach Run's caller, not kill the process.
+	runRecover := func(n int, body func(*Proc)) (v any) {
+		defer func() { v = recover() }()
+		run(t, n, 1, body)
+		return nil
+	}
+	b := NewBarrier(3)
+	v := runRecover(2, func(p *Proc) { b.Wait(p) })
+	if s, ok := v.(string); !ok || !strings.HasPrefix(s, "sim: deadlock: ") {
+		t.Fatalf("barrier of 3 waited on by 2: recovered %#v, want a sim: deadlock: panic", v)
+	}
+
+	type custom struct{ id int }
+	want := &custom{id: 7}
+	v = runRecover(3, func(p *Proc) {
+		p.Work(uint64(10 * (p.ID() + 1)))
+		if p.ID() == 1 {
+			panic(want)
+		}
+		p.Work(100)
+	})
+	if v != want {
+		t.Fatalf("body panic: recovered %#v, want the value the body raised", v)
+	}
+}
+
+func TestHandoffAllocatesNothing(t *testing.T) {
+	// Two threads with identical costs alternate on every op, so each
+	// Work is a slow-path switch; a long region must allocate no more
+	// than a short one (the difference isolates the per-switch path from
+	// region set-up).
+	cfg := arch.Haswell()
+	h := mem.New(cfg)
+	allocs := func(ops int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			Run(cfg, h, 2, 1, nil, func(p *Proc) {
+				for i := 0; i < ops; i++ {
+					p.Work(1)
+				}
+			})
+		})
+	}
+	if short, long := allocs(10), allocs(10000); long != short {
+		t.Fatalf("allocs per region: %v for 10 ops, %v for 10000; the handoff allocates", short, long)
 	}
 }
