@@ -102,6 +102,29 @@ func BenchmarkTxnReadSetCycle(b *testing.B) {
 	})
 }
 
+// BenchmarkTxnSmallCommit measures a STAMP-sized transaction: two loads
+// and two stores on four distinct lines, then the commit. Releasing the
+// sets must cost the four lines the transaction touched, not a walk over
+// the sets' pre-sized capacity.
+func BenchmarkTxnSmallCommit(b *testing.B) {
+	cfg := benchCfg()
+	h := mem.New(cfg)
+	s := NewSystem(cfg, h, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run(cfg, h, 1, 1, nil, func(p *sim.Proc) {
+		tx := s.Attach(p)
+		for i := 0; i < b.N; i++ {
+			s.Begin(tx)
+			tx.Load(0)
+			tx.Load(arch.LineSize)
+			tx.Store(2*arch.LineSize, int64(i))
+			tx.Store(3*arch.LineSize, int64(i))
+			tx.Commit()
+		}
+	})
+}
+
 // BenchmarkTxnAbortClear measures the abort path: 32 write-set inserts,
 // then an explicit abort driving the undo-log restore, the speculative
 // line drops and the directory scrub.

@@ -16,11 +16,14 @@
 //     so a transaction that fits in the high-water mark allocates
 //     nothing.
 //
-// Iteration (Range) visits slots in table order, which is a
-// deterministic function of the insertion/deletion history — unlike Go
-// map ranges there is no per-process randomization. Callers that need
-// insertion order (commit-time replay) must keep their own ordered log;
-// the TM layers do.
+// Iteration order is deterministic — unlike Go map ranges there is no
+// per-process randomization. Set.Range walks a dense key log in
+// insertion order (a Remove moves the last key into the hole), costing
+// O(Len) however large the table once grew. Table.Range visits slots in
+// table order, a deterministic function of the insertion/deletion
+// history, and costs O(capacity). Callers that need insertion order of
+// a Table (commit-time replay) keep their own ordered log; the TM layers
+// do.
 //
 // Payload values are stored inline and are expected to be plain old
 // data: Clear does not zero dead slots, so pointer-bearing payloads
@@ -176,8 +179,16 @@ func (t *Table[V]) Delete(k uint64) bool {
 	if i < 0 {
 		return false
 	}
+	t.deleteSlot(uint64(i))
+	return true
+}
+
+// deleteSlot empties live slot hole and closes the gap it leaves in its
+// probe chain by backward shift.
+//
+//rtm:hot
+func (t *Table[V]) deleteSlot(hole uint64) {
 	t.n--
-	hole := uint64(i)
 	j := hole
 	for {
 		j = (j + 1) & t.mask
@@ -195,7 +206,6 @@ func (t *Table[V]) Delete(k uint64) bool {
 	var zero V
 	t.slots[hole].epoch = 0
 	t.slots[hole].val = zero
-	return true
 }
 
 // Clear empties the table in O(1), keeping its capacity.
@@ -236,27 +246,24 @@ func (t *Table[V]) grow() {
 	}
 }
 
-// Set is an open-addressed set of uint64 keys with O(1) Clear — a
-// Table with no payload.
+// Set is a set of uint64 keys with O(1) Clear and O(Len) Range: a Table
+// mapping each key to its position in a dense key log. The log is what
+// Range walks, so releasing a transaction's footprint costs what the
+// transaction touched, not the table's high-water capacity.
 type Set struct {
-	t Table[struct{}]
+	t    Table[int32] // key -> index into keys
+	keys []uint64     // live keys in insertion order, swap-deleted by Remove
 }
 
 // NewSet returns a set pre-sized to hold hint keys without growing.
 func NewSet(hint int) *Set {
-	s := &Set{}
-	bits := minBits
-	for (1<<bits)*3/4 < hint {
-		bits++
-	}
-	s.t.reset(bits)
-	return s
+	return &Set{t: *NewTable[int32](hint), keys: make([]uint64, 0, max(hint, 0))}
 }
 
 // Len returns the number of keys.
 //
 //rtm:hot
-func (s *Set) Len() int { return s.t.n }
+func (s *Set) Len() int { return len(s.keys) }
 
 // Contains reports whether k is in the set.
 //
@@ -267,22 +274,50 @@ func (s *Set) Contains(k uint64) bool { return s.t.find(k) >= 0 }
 //
 //rtm:hot
 func (s *Set) Add(k uint64) bool {
-	_, added := s.t.Upsert(k)
+	p, added := s.t.Upsert(k)
+	if added {
+		*p = int32(len(s.keys))
+		s.keys = append(s.keys, k)
+	}
 	return added
 }
 
-// Remove deletes k and reports whether it was present.
+// Remove deletes k and reports whether it was present. The last key in
+// the log takes k's position.
 //
 //rtm:hot
-func (s *Set) Remove(k uint64) bool { return s.t.Delete(k) }
+func (s *Set) Remove(k uint64) bool {
+	i := s.t.find(k)
+	if i < 0 {
+		return false
+	}
+	pos := s.t.slots[i].val
+	s.t.deleteSlot(uint64(i))
+	last := len(s.keys) - 1
+	if int(pos) != last {
+		moved := s.keys[last]
+		s.keys[pos] = moved
+		*s.t.Ref(moved) = pos
+	}
+	s.keys = s.keys[:last]
+	return true
+}
 
 // Clear empties the set in O(1), keeping its capacity.
 //
 //rtm:hot
-func (s *Set) Clear() { s.t.Clear() }
+func (s *Set) Clear() {
+	s.t.Clear()
+	s.keys = s.keys[:0]
+}
 
-// Range calls f for each key in table order until f returns false. The
-// set must not be mutated during the iteration.
+// Range calls f for each key in insertion order (a Remove moves the last
+// key into the removed key's place) until f returns false. The set must
+// not be mutated during the iteration.
 func (s *Set) Range(f func(k uint64) bool) {
-	s.t.Range(func(k uint64, _ *struct{}) bool { return f(k) })
+	for _, k := range s.keys {
+		if !f(k) {
+			return
+		}
+	}
 }

@@ -2,6 +2,7 @@ package lineset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -186,14 +187,74 @@ func applyOps(t *testing.T, ops []byte) {
 	}
 }
 
+// applySetOps drives a Set and a reference key log through one
+// operation sequence. The log models the Set's iteration contract: Add
+// appends, Remove moves the last key into the removed key's place, Clear
+// empties. After every operation Range must visit exactly the log, in
+// order. Each op is two bytes: opcode, key selector.
+func applySetOps(t *testing.T, ops []byte) {
+	t.Helper()
+	s := NewSet(0)
+	var ref []uint64
+	pos := func(k uint64) int {
+		for i, rk := range ref {
+			if rk == k {
+				return i
+			}
+		}
+		return -1
+	}
+	var got []uint64
+	for len(ops) >= 2 {
+		op, k := ops[0], uint64(ops[1]%31)*64
+		ops = ops[2:]
+		switch op % 4 {
+		case 0, 1: // add (twice as likely, so sets grow past a few keys)
+			added := s.Add(k)
+			if want := pos(k) < 0; added != want {
+				t.Fatalf("Add(%d) = %v, reference %v", k, added, want)
+			}
+			if added {
+				ref = append(ref, k)
+			}
+		case 2: // remove
+			i := pos(k)
+			if got := s.Remove(k); got != (i >= 0) {
+				t.Fatalf("Remove(%d) = %v, reference %v", k, got, i >= 0)
+			}
+			if i >= 0 {
+				ref[i] = ref[len(ref)-1]
+				ref = ref[:len(ref)-1]
+			}
+		case 3:
+			s.Clear()
+			ref = ref[:0]
+		}
+		if s.Len() != len(ref) {
+			t.Fatalf("Len = %d, reference %d", s.Len(), len(ref))
+		}
+		got = got[:0]
+		s.Range(func(k uint64) bool { got = append(got, k); return true })
+		if !slices.Equal(got, ref) {
+			t.Fatalf("Range visited %v, reference log %v", got, ref)
+		}
+		for _, rk := range ref {
+			if !s.Contains(rk) {
+				t.Fatalf("live key %d not contained", rk)
+			}
+		}
+	}
+}
+
 // TestDifferentialRandom is the seeded property test: long random
-// operation sequences against the map reference model.
+// operation sequences against the map and key-log reference models.
 func TestDifferentialRandom(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 3*2000)
 		r.Read(ops)
 		applyOps(t, ops)
+		applySetOps(t, ops)
 	}
 }
 
@@ -205,6 +266,7 @@ func FuzzTableVsMap(f *testing.F) {
 			ops = ops[:3*4096]
 		}
 		applyOps(t, ops)
+		applySetOps(t, ops)
 	})
 }
 
@@ -224,6 +286,25 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	cycle() // establish capacity
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("steady-state fill/clear allocates %v allocs/run", n)
+	}
+}
+
+// TestSetWithinHintZeroAlloc pins the steady-state contract for the key
+// log: a set filled, ranged and cleared within its hint allocates
+// nothing.
+func TestSetWithinHintZeroAlloc(t *testing.T) {
+	const hint = 200
+	s := NewSet(hint)
+	var sum uint64
+	visit := func(k uint64) bool { sum += k; return true }
+	if n := testing.AllocsPerRun(100, func() {
+		for i := uint64(0); i < hint; i++ {
+			s.Add(i * 64)
+		}
+		s.Range(visit)
+		s.Clear()
+	}); n != 0 {
+		t.Fatalf("Add/Range/Clear within the hint allocates %v allocs/run", n)
 	}
 }
 

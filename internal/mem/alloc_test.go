@@ -8,8 +8,8 @@ import (
 
 // TestCacheZeroAlloc pins the //rtm:hot contract on the cache fast
 // paths: once a cache exists, lookup/present/insert/drop never allocate
-// (the line array is fixed at construction; the memo is two scalar
-// fields).
+// (the tag and line arrays are fixed at construction; the memo is one
+// index).
 func TestCacheZeroAlloc(t *testing.T) {
 	c := newCache(64, 8)
 	cycle := func() {

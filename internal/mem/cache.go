@@ -1,48 +1,65 @@
 package mem
 
-// line is one cache entry: a tag plus an LRU timestamp. Coherence state is
-// kept in the L3 directory, not here (see the package comment).
+// emptyTag marks an empty way. Line addresses are byte addresses shifted
+// right by the line size, so no line has this tag.
+const emptyTag = ^uint64(0)
+
+// line is the per-way state besides the tag: an LRU timestamp, plus the
+// coherence state, which is kept in the L3 directory (see the package
+// comment).
 type line struct {
-	tag   uint64 // line address; valid is tracked separately
-	valid bool
-	lru   uint64
+	lru uint64
 	// Directory fields, used by the L3 instance only.
-	owner   int8   // core holding the line in M state, -1 if none
 	sharers uint64 // bitmask of cores holding a copy
+	owner   int8   // core holding the line in M state, -1 if none
 }
 
-// cache is a set-associative presence tracker with LRU replacement. A
-// single-entry memo of the last hit (lastTag/lastIdx) short-circuits the
-// set scan on repeat-line accesses, which dominate simulated workloads.
-// The memo is a pure hint: every use re-validates tag and valid bit
-// against the stored slot, so stale entries cost one extra compare and
-// never return a wrong line.
+// cache is a set-associative presence tracker with LRU replacement. Tags
+// live in their own array, so a set scan reads ways*8 contiguous bytes;
+// an empty way holds emptyTag. A single-entry memo of the last hit (last,
+// an index into tags) short-circuits the scan on repeat-line accesses,
+// which dominate simulated workloads. The memo is a pure hint: every use
+// compares the memoized way's tag, so a stale memo costs one compare and
+// never returns a wrong line.
 type cache struct {
 	sets    int
 	ways    int
 	setMask uint64
-	lines   []line // sets*ways, row-major per set
+	tags    []uint64 // sets*ways, row-major per set
+	lines   []line   // parallel to tags
 	tick    uint64
-	lastTag uint64
-	lastIdx int32
+	last    int
 }
 
 func newCache(sets, ways int) *cache {
-	return &cache{
+	c := &cache{
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
+		tags:    make([]uint64, sets*ways),
 		lines:   make([]line, sets*ways),
-		lastIdx: -1,
 	}
+	for i := range c.tags {
+		c.tags[i] = emptyTag
+	}
+	return c
 }
 
-// set returns the slice of ways for the set holding lineAddr.
+// find returns the index of lineAddr's way, or -1, trying the memo
+// before the set scan.
 //
 //rtm:hot
-func (c *cache) set(lineAddr uint64) []line {
-	s := int(lineAddr & c.setMask)
-	return c.lines[s*c.ways : (s+1)*c.ways]
+func (c *cache) find(lineAddr uint64) int {
+	if c.tags[c.last] == lineAddr {
+		return c.last
+	}
+	base := int(lineAddr&c.setMask) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == lineAddr {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // lookup returns the entry for lineAddr, or nil on a miss. On a hit the LRU
@@ -50,106 +67,88 @@ func (c *cache) set(lineAddr uint64) []line {
 //
 //rtm:hot
 func (c *cache) lookup(lineAddr uint64) *line {
-	if c.lastTag == lineAddr && c.lastIdx >= 0 {
-		if l := &c.lines[c.lastIdx]; l.valid && l.tag == lineAddr {
-			c.tick++
-			l.lru = c.tick
-			return l
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return nil
 	}
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			c.tick++
-			set[i].lru = c.tick
-			c.lastTag = lineAddr
-			c.lastIdx = int32(int(lineAddr&c.setMask)*c.ways + i)
-			return &set[i]
-		}
+	c.last = i
+	c.tick++
+	c.lines[i].lru = c.tick
+	return &c.lines[i]
+}
+
+// present reports whether lineAddr is cached, without touching LRU state.
+// A hit refreshes the memo (always safe: every use compares the tag).
+//
+//rtm:hot
+func (c *cache) present(lineAddr uint64) bool {
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false
+	}
+	c.last = i
+	return true
+}
+
+// peekLine returns the entry for lineAddr without LRU or memo effects, or
+// nil. It only reads, so shard workers may call it on the frozen L3
+// concurrently.
+func (c *cache) peekLine(lineAddr uint64) *line {
+	if i := c.find(lineAddr); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
 
-// present reports whether lineAddr is cached, without touching LRU state.
-// A memo hit answers without the set scan; a scan hit refreshes the memo
-// (setting it is always safe — every use re-validates).
-//
-//rtm:hot
-func (c *cache) present(lineAddr uint64) bool {
-	if c.lastTag == lineAddr && c.lastIdx >= 0 {
-		if l := &c.lines[c.lastIdx]; l.valid && l.tag == lineAddr {
-			return true
-		}
-	}
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			c.lastTag = lineAddr
-			c.lastIdx = int32(int(lineAddr&c.setMask)*c.ways + i)
-			return true
-		}
-	}
-	return false
-}
-
-// insert places lineAddr into its set, evicting the LRU entry if the set is
-// full. It returns the evicted line address and true if an eviction
-// happened. The new entry's directory fields are zeroed (owner -1).
+// insert places lineAddr into its set, in the first empty way or else
+// over the LRU entry. It returns the evicted line address and true if an
+// eviction happened. The new entry's directory fields are zeroed (owner
+// -1).
 //
 //rtm:hot
 func (c *cache) insert(lineAddr uint64) (victim uint64, evicted bool, entry *line) {
-	set := c.set(lineAddr)
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			evicted = false
-			goto place
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
+	base := int(lineAddr&c.setMask) * c.ways
+	vi := -1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == emptyTag {
+			vi = base + i
+			break
 		}
 	}
-	victim = set[vi].tag
-	evicted = true
-place:
+	if vi < 0 {
+		vi = base
+		for i := base + 1; i < base+c.ways; i++ {
+			if c.lines[i].lru < c.lines[vi].lru {
+				vi = i
+			}
+		}
+		victim, evicted = c.tags[vi], true
+	}
 	c.tick++
-	set[vi] = line{tag: lineAddr, valid: true, lru: c.tick, owner: -1}
-	return victim, evicted, &set[vi]
+	c.tags[vi] = lineAddr
+	c.lines[vi] = line{lru: c.tick, owner: -1}
+	return victim, evicted, &c.lines[vi]
 }
 
 // drop removes lineAddr if present and reports whether it was present.
-// A memo hit skips the set scan; dropping the memoized line invalidates
-// the memo so later probes for the same tag don't pay a dead fast-path
-// compare before falling back to the scan.
+// The freed way's tag becomes emptyTag, so a memo still pointing at it
+// misses on its next use.
 //
 //rtm:hot
 func (c *cache) drop(lineAddr uint64) bool {
-	if c.lastTag == lineAddr && c.lastIdx >= 0 {
-		if l := &c.lines[c.lastIdx]; l.valid && l.tag == lineAddr {
-			l.valid = false
-			c.lastIdx = -1
-			return true
-		}
+	i := c.find(lineAddr)
+	if i < 0 {
+		return false
 	}
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].valid = false
-			if c.lastTag == lineAddr {
-				c.lastIdx = -1
-			}
-			return true
-		}
-	}
-	return false
+	c.tags[i] = emptyTag
+	return true
 }
 
 // count returns the number of valid entries (for tests).
 func (c *cache) count() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t != emptyTag {
 			n++
 		}
 	}

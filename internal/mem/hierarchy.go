@@ -429,17 +429,6 @@ func (h *Hierarchy) fireL2Evict(core int, la uint64) {
 	}
 }
 
-// peekLine returns the L3 entry for la without LRU effects, or nil.
-func (c *cache) peekLine(la uint64) *line {
-	set := c.set(la)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			return &set[i]
-		}
-	}
-	return nil
-}
-
 // Drop silently removes la from core's private caches (no hooks, no stats)
 // and clears its ownership. The HTM layer uses it to discard speculative
 // lines on abort.

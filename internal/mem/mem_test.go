@@ -465,3 +465,40 @@ func TestCacheMemoPresentDrop(t *testing.T) {
 		t.Fatal("reinserted line not visible")
 	}
 }
+
+// TestCacheTagSentinel covers the empty-way tag: a dropped line that
+// comes back in a different way is found there although the memo still
+// points at its old way, count() sees only live tags, and a full set
+// evicts its least recently used way.
+func TestCacheTagSentinel(t *testing.T) {
+	c := newCache(4, 2) // lines 1, 5, 9 share set 1: ways 2 and 3
+	if c.count() != 0 {
+		t.Fatalf("new cache count = %d", c.count())
+	}
+	c.insert(1)
+	c.lookup(1) // memo -> way 2
+	c.drop(1)
+	c.insert(5) // takes the freed way 2
+	c.insert(1) // lands in way 3
+	if l := c.lookup(1); l != &c.lines[3] {
+		t.Fatal("lookup after drop and re-insert returned a stale way")
+	}
+	if c.count() != 2 {
+		t.Fatalf("count = %d, want 2", c.count())
+	}
+	c.lookup(5) // 1 is now the LRU way
+	victim, evicted, entry := c.insert(9)
+	if !evicted || victim != 1 || entry != &c.lines[3] {
+		t.Fatalf("full-set insert evicted (%d, %v) into way %p, want line 1 from way 3", victim, evicted, entry)
+	}
+	if c.present(1) || !c.present(5) || !c.present(9) || c.count() != 2 {
+		t.Fatal("set contents wrong after LRU eviction")
+	}
+	if !c.drop(5) || c.drop(5) || c.count() != 1 {
+		t.Fatal("drop did not free the way")
+	}
+	c.insert(2) // another set
+	if c.count() != 2 {
+		t.Fatalf("count = %d, want 2", c.count())
+	}
+}

@@ -34,7 +34,6 @@ package sim
 
 import (
 	"runtime"
-	"slices"
 
 	"rtmlab/internal/lineset"
 	"rtmlab/internal/mem"
@@ -154,18 +153,30 @@ type shardEngine struct {
 	end      uint64 // current epoch end (exclusive)
 	workers  []*shardWorker
 	done     chan struct{}
-	order    []boundaryRef // boundary scratch, reused across epochs
+	heads    []mergeHead // boundary merge cursors, one per proc
 	epochs   uint64
 	// boundaryOps counts operations replayed serially at boundaries (the
 	// serial fraction's numerator, exported as sim:boundary.ops).
 	boundaryOps uint64
 }
 
-type boundaryRef struct {
-	cycle uint64
-	seq   uint64
-	tid   int32
-	def   int32 // index into the proc's def list, or -1 for the parked op
+// mergeHead is one thread's cursor in the boundary merge: defs[next:lim]
+// remain to replay, followed by the parked op if park is set.
+type mergeHead struct {
+	next, lim int
+	park      bool
+}
+
+// cycle returns the issue cycle of the head's next op, and false once
+// the head is exhausted.
+func (h *mergeHead) cycle(ps *procShard) (uint64, bool) {
+	if h.next < h.lim {
+		return ps.defs[h.next].cycle, true
+	}
+	if h.park {
+		return ps.opCycle, true
+	}
+	return 0, false
 }
 
 // shardWorkers resolves the configured shard count to a worker count for
@@ -191,6 +202,7 @@ func newShardEngine(e *Engine) *shardEngine {
 		e:        e,
 		epochLen: cfg.Shard.Epoch(),
 		done:     make(chan struct{}, nw),
+		heads:    make([]mergeHead, len(e.procs)),
 	}
 	e.H.InitShard()
 	se.end = se.epochLen
@@ -266,79 +278,84 @@ func (w *shardWorker) loop() {
 	}
 }
 
-// cmpBoundaryRef is the (cycle, tid, seq) total order boundary replay
-// follows. (tid, cycle, seq) triples are unique, so the unstable sort is
-// deterministic; slices.SortFunc (unlike sort.Slice) allocates nothing,
-// which keeps the per-epoch boundary allocation-free.
-func cmpBoundaryRef(a, b boundaryRef) int {
-	switch {
-	case a.cycle != b.cycle:
-		if a.cycle < b.cycle {
-			return -1
+// mergeOps visits, in (cycle, thread id, sequence) order, every op each
+// proc issued before end: its deferred ops, then its parked op (visited
+// with d == nil). A proc's def log is (cycle, seq)-sorted and its parked
+// op was issued after all of it, so the order is a k-way merge of the
+// logs' heads with cycle ties going to the lowest thread id. heads holds
+// one cursor per proc; afterwards heads[i].lim is how many of proc i's
+// defs were visited. The cut is taken before the first visit, so ops a
+// visit issues or unparks wait for a later merge. Returns the number of
+// ops visited.
+func mergeOps(procs []*Proc, heads []mergeHead, end uint64, visit func(p *Proc, d *ShardDef)) uint64 {
+	var n uint64
+	for i, p := range procs {
+		ps := p.sh
+		lim := 0
+		for lim < len(ps.defs) && ps.defs[lim].cycle < end {
+			lim++
 		}
-		return 1
-	case a.tid != b.tid:
-		return int(a.tid) - int(b.tid)
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
+		park := ps.status == shOpWait && ps.opCycle < end
+		heads[i] = mergeHead{lim: lim, park: park}
+		n += uint64(lim)
+		if park {
+			n++
+		}
 	}
-	return 0
+	for {
+		// The earliest head, and the runner-up that bounds how far the
+		// earliest thread may drain before the lead changes hands.
+		best, next := -1, -1
+		var bc, nc uint64
+		for i := range heads {
+			c, ok := heads[i].cycle(procs[i].sh)
+			switch {
+			case !ok:
+			case best < 0 || c < bc:
+				next, nc = best, bc
+				best, bc = i, c
+			case next < 0 || c < nc:
+				next, nc = i, c
+			}
+		}
+		if best < 0 {
+			return n
+		}
+		h, p := &heads[best], procs[best]
+		for {
+			c, ok := h.cycle(p.sh)
+			if !ok || (next >= 0 && (c > nc || (c == nc && next < best))) {
+				break
+			}
+			if h.next < h.lim {
+				h.next++
+				visit(p, &p.sh.defs[h.next-1])
+			} else {
+				h.park = false
+				visit(p, nil)
+			}
+		}
+	}
 }
 
-// boundary merges every deferred and parked operation issued before the
-// epoch end and executes them serially in (cycle, thread id, sequence)
-// order against the shared state.
+// boundary executes every deferred and parked operation issued before
+// the epoch end serially, in (cycle, thread id, sequence) order, against
+// the shared state.
 func (se *shardEngine) boundary() {
 	e := se.e
-	end := se.end
-	ord := se.order[:0]
-	for _, p := range e.procs {
-		ps := p.sh
-		for i := range ps.defs {
-			if ps.defs[i].cycle >= end {
-				break // per-proc def logs are cycle-sorted
-			}
-			ord = append(ord, boundaryRef{
-				cycle: ps.defs[i].cycle, seq: ps.defs[i].seq,
-				tid: int32(p.id), def: int32(i),
-			})
-		}
-		if ps.status == shOpWait && ps.opCycle < end {
-			ord = append(ord, boundaryRef{
-				cycle: ps.opCycle, seq: ps.opSeq, tid: int32(p.id), def: -1,
-			})
-		}
-	}
-	slices.SortFunc(ord, cmpBoundaryRef)
-	se.boundaryOps += uint64(len(ord))
-	for i := range ord {
-		r := &ord[i]
-		p := e.procs[r.tid]
-		if r.def >= 0 {
-			se.applyDef(p, &p.sh.defs[r.def])
-		} else {
-			se.execPark(p)
-		}
-	}
-	se.order = ord[:0]
+	se.boundaryOps += mergeOps(e.procs, se.heads, se.end, se.replay)
 	// The ownership deltas are in the live directory now; the next epoch's
 	// classifier tables seed afresh from the frozen state.
 	e.H.ShardEpochReset()
 	// Consume the applied prefix of each def log; once a thread's log is
 	// drained its buffered stores are all in the backing store and the
 	// write buffer can be cleared.
-	for _, p := range e.procs {
+	for i, p := range e.procs {
 		ps := p.sh
-		n := 0
-		for n < len(ps.defs) && ps.defs[n].cycle < end {
-			n++
-		}
-		if n > 0 {
+		if n := se.heads[i].lim; n > 0 {
 			rem := copy(ps.defs, ps.defs[n:])
-			for i := rem; i < len(ps.defs); i++ {
-				ps.defs[i] = ShardDef{} // release Fn/Name referents
+			for j := rem; j < len(ps.defs); j++ {
+				ps.defs[j] = ShardDef{} // release Fn/Name referents
 			}
 			ps.defs = ps.defs[:rem]
 		}
@@ -355,24 +372,7 @@ func (se *shardEngine) boundary() {
 // all thread bodies have finished, so counters and recorder events from
 // the final epoch are not lost.
 func (se *shardEngine) flushRemaining() {
-	ord := se.order[:0]
-	for _, p := range se.e.procs {
-		ps := p.sh
-		for i := range ps.defs {
-			ord = append(ord, boundaryRef{
-				cycle: ps.defs[i].cycle, seq: ps.defs[i].seq,
-				tid: int32(p.id), def: int32(i),
-			})
-		}
-	}
-	slices.SortFunc(ord, cmpBoundaryRef)
-	se.boundaryOps += uint64(len(ord))
-	for i := range ord {
-		r := &ord[i]
-		p := se.e.procs[r.tid]
-		se.applyDef(p, &p.sh.defs[r.def])
-	}
-	se.order = ord[:0]
+	se.boundaryOps += mergeOps(se.e.procs, se.heads, ^uint64(0), se.replay)
 	for _, p := range se.e.procs {
 		ps := p.sh
 		for i := range ps.defs {
@@ -380,6 +380,16 @@ func (se *shardEngine) flushRemaining() {
 		}
 		ps.defs = ps.defs[:0]
 		ps.wbuf.Clear()
+	}
+}
+
+// replay executes one op at the boundary: the deferred op d, or p's
+// parked op when d is nil.
+func (se *shardEngine) replay(p *Proc, d *ShardDef) {
+	if d != nil {
+		se.applyDef(p, d)
+	} else {
+		se.execPark(p)
 	}
 }
 

@@ -7,7 +7,10 @@
 // paper) maps to pre-touching pages at allocation time.
 package vm
 
-import "rtmlab/internal/arch"
+import (
+	"rtmlab/internal/arch"
+	"rtmlab/internal/lineset"
+)
 
 // DefaultFaultCycles is the cost of servicing a minor page fault.
 const DefaultFaultCycles = 1500
@@ -21,7 +24,7 @@ type CycleSink interface {
 // PageTable tracks which pages are resident. The zero value is not usable;
 // use NewPageTable.
 type PageTable struct {
-	touched     map[uint64]struct{}
+	fresh       *lineset.Set // non-resident pages; resident is the common case
 	FaultCycles uint64
 
 	// Faults counts serviced minor faults.
@@ -33,26 +36,21 @@ type PageTable struct {
 // memory faults, like a warmed-up process image).
 func NewPageTable() *PageTable {
 	return &PageTable{
-		touched:     make(map[uint64]struct{}),
+		fresh:       lineset.NewSet(0),
 		FaultCycles: DefaultFaultCycles,
 	}
 }
 
 func pageOf(addr uint64) uint64 { return addr / arch.PageSize }
 
-// fresh tracks non-resident pages; the touched map stores *fresh* pages to
-// keep the common case (resident) allocation-free.
 // Touched reports whether the page holding addr is resident.
 func (pt *PageTable) Touched(addr uint64) bool {
-	_, fresh := pt.touched[pageOf(addr)]
-	return !fresh
+	return !pt.fresh.Contains(pageOf(addr))
 }
 
 // Touch makes the page holding addr resident.
 func (pt *PageTable) Touch(addr uint64) {
-	pg := pageOf(addr)
-	if _, fresh := pt.touched[pg]; fresh {
-		delete(pt.touched, pg)
+	if pt.fresh.Remove(pageOf(addr)) {
 		pt.Faults++
 	}
 }
@@ -61,7 +59,7 @@ func (pt *PageTable) Touch(addr uint64) {
 // mapped). The allocator calls this when it grows the heap.
 func (pt *PageTable) MarkFresh(base, size uint64) {
 	for pg := pageOf(base); pg <= pageOf(base+size-1); pg++ {
-		pt.touched[pg] = struct{}{}
+		pt.fresh.Add(pg)
 	}
 }
 
@@ -69,9 +67,7 @@ func (pt *PageTable) MarkFresh(base, size uint64) {
 // if the page is fresh the fault cost is charged to sink and the page
 // becomes resident.
 func (pt *PageTable) Service(sink CycleSink, addr uint64) {
-	pg := pageOf(addr)
-	if _, fresh := pt.touched[pg]; fresh {
-		delete(pt.touched, pg)
+	if pt.fresh.Remove(pageOf(addr)) {
 		pt.Faults++
 		if sink != nil {
 			sink.AddCycles(pt.FaultCycles)
@@ -80,4 +76,4 @@ func (pt *PageTable) Service(sink CycleSink, addr uint64) {
 }
 
 // FreshPages returns the number of currently fresh (untouched) pages.
-func (pt *PageTable) FreshPages() int { return len(pt.touched) }
+func (pt *PageTable) FreshPages() int { return pt.fresh.Len() }

@@ -35,7 +35,7 @@ go test -race -short -timeout 10m ./...
 echo "== benchmark smoke (one iteration each) =="
 # Keeps the micro-benchmarks compiling and runnable so they can't rot;
 # real measurements come from scripts/bench.sh.
-go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm
+go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm ./internal/tm ./internal/vm
 
 echo "== flight-recorder smoke (traced experiment + validation) =="
 # One tiny traced experiment end to end: the trace must be valid JSON
