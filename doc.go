@@ -8,8 +8,7 @@
 // the paper's evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for measured-versus-paper results. The root package
-// contains the per-figure benchmarks (bench_test.go); the implementation
+// EXPERIMENTS.md for measured-versus-paper results. The implementation
 // lives under internal/ and the runnable entry points under cmd/rtmlab
 // and examples/.
 package rtmlab

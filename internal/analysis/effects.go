@@ -90,15 +90,6 @@ var effectLabels = []struct {
 	{EffUnknown, "reaches a call rtmvet cannot resolve"},
 }
 
-func effectLabel(bit Effect) string {
-	for _, e := range effectLabels {
-		if e.Bit == bit {
-			return e.Label
-		}
-	}
-	return fmt.Sprintf("effect %#x", uint32(bit))
-}
-
 // A Cause is one link in the chain explaining how an effect reaches a
 // function: the outermost link is a call site in the root function, the
 // innermost is the primitive operation.

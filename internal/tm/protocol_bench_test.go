@@ -33,7 +33,7 @@ func protocolBenchBody(c *Ctx) {
 // CAS for tinystm, read-log version checks for tl2, value revalidation
 // sweeps for norec), so both ns/op and the simulated cycle totals
 // legitimately differ — the benchmark tracks the host cost of each
-// protocol's hot path, feeding the per-protocol lines in BENCH_*.json.
+// protocol's hot path.
 func BenchmarkSTMProtocolThroughput(b *testing.B) {
 	for _, proto := range stm.Protocols() {
 		b.Run(proto, func(b *testing.B) {

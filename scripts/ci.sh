@@ -34,7 +34,8 @@ go test -race -short -timeout 10m ./...
 
 echo "== benchmark smoke (one iteration each) =="
 # Keeps the micro-benchmarks compiling and runnable so they can't rot;
-# real measurements come from scripts/bench.sh.
+# timings come from scripts/perfgate.sh (htm, below) and from rtmbench
+# (bench/, end to end).
 go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm ./internal/tm ./internal/vm
 
 echo "== flight-recorder smoke (traced experiment + validation) =="
@@ -94,23 +95,15 @@ go run ./cmd/rtmreport "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -json "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -diff -same-commits "$obsdir/metrics/table4.json" "$obsdir/metrics4/table4.json" > /dev/null
 
-echo "== disabled-recorder overhead gate (htm vs committed snapshot) =="
+echo "== disabled-recorder overhead gate (htm vs the parent commit, same host) =="
 # The flight recorder must cost nothing when off: every site is a nil
 # check (structurally enforced by rtmvet obsguard + the zero-alloc
-# tests; this gate is the wall-clock backstop). Compare the htm
-# micro-benchmarks (recording disabled, as in the snapshot) against the
-# latest committed BENCH_*.json; min of 3 runs filters scheduler noise.
-# The gate fails on the geomean ns/op ratio, not per benchmark: on the
-# shared-vCPU hosts this runs on, individual benchmarks swing ±15-40%
-# between identical-code runs while the geomean stays within ~±10% —
-# hence the default tolerance. Override with BENCH_TOL_PCT (tighter on
-# a quiet dedicated box, wider on a very noisy one).
-snapshot="$(ls BENCH_*.json 2>/dev/null | sort | tail -1)"
-if [ -n "$snapshot" ]; then
-    go test -run '^$' -bench . -benchtime "${BENCH_GATE_TIME:-0.3s}" -count 3 ./internal/htm \
-        | go run ./cmd/benchjson -baseline "$snapshot" -tol-pct "${BENCH_TOL_PCT:-10}" -only internal/htm
-else
-    echo "no BENCH_*.json snapshot found; skipping"
-fi
+# tests; this gate is the wall-clock backstop). perfgate.sh runs the
+# htm micro-benchmarks of the parent commit and of the working tree in
+# interleaved pairs on this host and fails when the median pair geomean
+# ns/op ratio exceeds BENCH_TOL_PCT (default 10%). The geomean, not each
+# benchmark, is gated: on shared-vCPU hosts single benchmarks swing
+# ±15-40% between identical-code runs while the geomean holds.
+sh scripts/perfgate.sh HEAD~1
 
 echo "ci: all checks passed"
