@@ -14,10 +14,11 @@
 // Independent experiment points run concurrently on -j workers (default:
 // one per CPU); results are collected by point index, so the output is
 // byte-identical at any -j. Within a point, -shards N runs the simulated
-// threads on N epoch-synchronized engine shards (-shards -1 picks one per
-// simulated core); sharded semantics depend only on the epoch length, so
-// output is byte-identical for any shards >= 1, and -shards composes with
-// -j. Use -cpuprofile/-memprofile to capture pprof profiles of the run.
+// threads on N epoch-synchronized engine shards (-shards -1 picks
+// min(GOMAXPROCS, simulated cores)); sharded semantics depend only on
+// the epoch length, so output is byte-identical for any shards >= 1, and
+// -shards composes with -j. Use -cpuprofile/-memprofile to capture pprof
+// profiles of the run.
 //
 // Every STM (and hybrid-fallback) run uses the concurrency-control
 // protocol selected by -stm-protocol: tinystm (encounter-time locking,
@@ -60,7 +61,7 @@ func main() {
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 		metricsDir = flag.String("metrics", "", "directory for per-experiment JSON metrics + text summaries")
 		traceLimit = flag.Int("trace-limit", 1<<16, "max events kept per thread track (0 = unbounded)")
-		shards     = flag.Int("shards", 0, "intra-point engine shards: 0 = classic serial engine, N > 0 = N epoch-synchronized workers, -1 = auto (one per simulated core); output is byte-identical for any shards >= 1")
+		shards     = flag.Int("shards", 0, "intra-point engine shards: 0 = classic serial engine, N > 0 = N epoch-synchronized workers, -1 = auto (min(GOMAXPROCS, simulated cores)); output is byte-identical for any shards >= 1")
 		epochCyc   = flag.Uint64("epoch-cycles", 0, "coherence-epoch length in simulated cycles for -shards (0 = default)")
 		stmProto   = flag.String("stm-protocol", stm.TinySTMName, "STM concurrency-control protocol: tinystm (encounter-time locking) | tl2 (commit-time locking) | norec (single sequence lock, value validation, no lock array); a semantic knob, byte-identical per setting at any -j/-shards")
 	)
@@ -68,6 +69,14 @@ func main() {
 
 	if !stm.ValidProtocol(*stmProto) {
 		fmt.Fprintf(os.Stderr, "unknown -stm-protocol %q (want tinystm, tl2 or norec)\n", *stmProto)
+		os.Exit(2)
+	}
+	if *shards < -1 {
+		fmt.Fprintf(os.Stderr, "invalid -shards %d (want -1, 0 or a positive count)\n", *shards)
+		os.Exit(2)
+	}
+	if *traceLimit < 0 {
+		fmt.Fprintf(os.Stderr, "invalid -trace-limit %d (want 0 for unbounded or a positive count)\n", *traceLimit)
 		os.Exit(2)
 	}
 	if *epochCyc != 0 && *shards == 0 {

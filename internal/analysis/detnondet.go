@@ -19,7 +19,6 @@ var detPackages = []string{
 	"internal/tm",
 	"internal/harness",
 	"internal/obs",
-	"internal/trace",
 	"internal/eigenbench",
 	"internal/stamp",
 	"internal/energy",

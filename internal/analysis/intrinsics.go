@@ -14,14 +14,14 @@ package analysis
 //   - the tm.Tx / *tm.Ctx / *htm.Txn / *stm.Txn surfaces are the
 //     sanctioned way for an atomic body to touch simulated state, so
 //     their receiver-state mutation is not an effect;
-//   - mem.ShardSink and the (*sim.Proc).Defer* methods are the
+//   - mem.ShardSink and the (*sim.Proc).Defer*/Record* methods are the
 //     sanctioned mid-epoch delta channel (buffered, replayed at the
 //     boundary); the closure-taking DeferFn/Exclusive run their
 //     argument at the boundary, so closure effects must not fold into
 //     the mid-epoch caller;
-//   - the classic Hierarchy/Memory entry points, the flight recorder,
-//     and the trace buffer mutate shared or single-threaded state and
-//     are boundary-only under the sharded engine (EffBoundary);
+//   - the classic Hierarchy/Memory entry points and the flight recorder
+//     mutate shared or single-threaded state and are boundary-only
+//     under the sharded engine (EffBoundary);
 //   - (*mem.cache).lookup/insert have LRU and memo side effects on the
 //     shared L3, unlike peekLine/present.
 
@@ -65,8 +65,8 @@ var methodEffects = []struct {
 	{"internal/mem", "ShardSink", "", intrinsicEffect{desc: "is the sanctioned ownership-delta channel"}},
 	{"internal/sim", "Proc", "DeferFn", intrinsicEffect{deferred: true, desc: "defers to the epoch boundary"}},
 	{"internal/sim", "Proc", "Exclusive", intrinsicEffect{deferred: true, desc: "runs at the epoch boundary"}},
-	{"internal/sim", "Proc", "DeferEvent", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
-	{"internal/sim", "Proc", "DeferCounter", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
+	{"internal/sim", "Proc", "RecordEvent", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
+	{"internal/sim", "Proc", "RecordCounter", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
 	{"internal/sim", "Proc", "DeferMemEvent", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
 	{"internal/sim", "Proc", "DeferMemDelta", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
 	// Boundary-only shared-state mutators.
@@ -86,7 +86,6 @@ var methodEffects = []struct {
 	{"internal/mem", "cache", "lookup", intrinsicEffect{bits: EffBoundary, desc: "has LRU/memo side effects on the shared L3"}},
 	{"internal/mem", "cache", "insert", intrinsicEffect{bits: EffBoundary, desc: "has LRU/memo side effects on the shared L3"}},
 	{"internal/obs", "Recorder", "", intrinsicEffect{bits: EffBoundary, desc: "the flight recorder is single-threaded"}},
-	{"internal/trace", "Buffer", "", intrinsicEffect{bits: EffBoundary, desc: "the trace buffer is single-threaded"}},
 	// Host-effect stdlib types.
 	{"os", "File", "", intrinsicEffect{bits: EffIO, desc: "performs file I/O"}},
 	{"sync", "", "", intrinsicEffect{bits: EffChan, desc: "is a host synchronization primitive"}},

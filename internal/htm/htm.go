@@ -29,6 +29,7 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/lineset"
 	"rtmlab/internal/mem"
+	"rtmlab/internal/obs"
 	"rtmlab/internal/perf"
 	"rtmlab/internal/sim"
 	"rtmlab/internal/vm"
@@ -51,37 +52,21 @@ const Started uint32 = ^uint32(0)
 func ExplicitCode(status uint32) uint8 { return uint8(status >> 24) }
 
 // Cause is the simulator-internal abort cause (the ground truth the
-// hardware only partially exposes through status bits and counters).
-type Cause uint8
+// hardware only partially exposes through status bits and counters). It
+// is the recorder's abort-cause taxonomy, of which hardware transactions
+// use the first eight values.
+type Cause = obs.Cause
 
 const (
-	CauseNone Cause = iota
-	CauseConflict
-	CauseReadCapacity
-	CauseWriteCapacity
-	CauseExplicit
-	CauseInterrupt
-	CausePageFault
-	CauseNestDepth
+	CauseNone          = obs.CauseNone
+	CauseConflict      = obs.CauseConflict
+	CauseReadCapacity  = obs.CauseReadCapacity
+	CauseWriteCapacity = obs.CauseWriteCapacity
+	CauseExplicit      = obs.CauseExplicit
+	CauseInterrupt     = obs.CauseInterrupt
+	CausePageFault     = obs.CausePageFault
+	CauseNestDepth     = obs.CauseNestDepth
 )
-
-var causeNames = [...]string{
-	CauseNone:          "none",
-	CauseConflict:      "conflict",
-	CauseReadCapacity:  "read-capacity",
-	CauseWriteCapacity: "write-capacity",
-	CauseExplicit:      "explicit",
-	CauseInterrupt:     "interrupt",
-	CausePageFault:     "page-fault",
-	CauseNestDepth:     "nest-depth",
-}
-
-func (c Cause) String() string {
-	if int(c) < len(causeNames) {
-		return causeNames[c]
-	}
-	return fmt.Sprintf("cause(%d)", uint8(c))
-}
 
 // Abort is the panic value used to unwind an aborted transaction body.
 type Abort struct {
@@ -166,10 +151,6 @@ type System struct {
 
 	txs []*Txn                // indexed by thread id
 	dir *lineset.Table[track] // active transactional lines
-
-	// stage holds per-thread counter staging sets for the shard parallel
-	// phase (nil under the classic engine); see shard.go.
-	stage []*perf.Set
 
 	// bwr maps line -> epoch ordinal of the boundary that last stored to
 	// it (commit write-back, raw store, RMW). A replayed read-probe whose
@@ -646,10 +627,10 @@ func (s *System) clearSets(tx *Txn) {
 // victims — write sets are L1-bound) are checked directly and rolled
 // back locally; they are same-shard state, so the scan is race-free.
 func (s *System) onL1Evict(core int, la uint64) {
-	if s.stage != nil {
-		// Shard mode: the write sets are the ground truth regardless of
-		// phase (the directory lags by up to an epoch mid-parallel and by
-		// unreplayed probes mid-boundary).
+	if s.bwr != nil { // shard mode: initShard built bwr
+		// The write sets are the ground truth regardless of phase (the
+		// directory lags by up to an epoch mid-parallel and by unreplayed
+		// probes mid-boundary).
 		for tid := core; tid < len(s.txs); tid += s.cfg.Cores {
 			tx := s.txs[tid]
 			if tx == nil || !tx.active || !tx.writeSet.Contains(la) {

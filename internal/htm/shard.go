@@ -57,13 +57,7 @@ const (
 // initShard wires the shard-mode state for tx. Called from Attach when
 // the proc runs under the sharded engine.
 func (s *System) initShard(p *sim.Proc, tx *Txn) {
-	if s.stage == nil {
-		s.stage = make([]*perf.Set, s.cfg.MaxThreads())
-	}
-	tid := p.ID()
-	if s.stage[tid] == nil {
-		s.stage[tid] = perf.NewSet()
-	}
+	s.Counters.Stage(p.ID(), s.cfg.MaxThreads())
 	if tx.redo == nil {
 		tx.redo = lineset.NewTable[int64](64)
 	}
@@ -104,21 +98,7 @@ func (s *System) initShard(p *sim.Proc, tx *Txn) {
 //
 //rtm:hot
 func (s *System) cntFor(p *sim.Proc) *perf.Set {
-	if p.ShardActive() {
-		return s.stage[p.ID()]
-	}
-	return s.Counters
-}
-
-// MergeShardCounters folds the per-thread staged counters into Counters.
-// The tm layer calls it once per region, after the engine has quiesced.
-// Additions commute, so the fold order cannot affect the result.
-func (s *System) MergeShardCounters() {
-	for _, st := range s.stage {
-		if st != nil {
-			st.MergeInto(s.Counters)
-		}
-	}
+	return s.Counters.For(p.ID(), p.ShardActive())
 }
 
 // abortSelf aborts tx from its own thread's context: locally during the
@@ -376,7 +356,7 @@ func (t *Txn) localAbort(a Abort) {
 	t.pending = true
 	t.pendingAbort = a
 	p.AddCycles(s.cfg.TSX.AbortCost)
-	s.countAbort(s.stage[p.ID()], a)
+	s.countAbort(s.Counters.For(p.ID(), true), a)
 	if s.AbortHook != nil {
 		s.AbortHook(p.ID(), a) // stages its own counters in shard mode
 	}

@@ -398,6 +398,25 @@ func (r *Recorder) TxInstant(tid int, cycle uint64, site int32, kind Kind) {
 	}
 }
 
+// Record applies one thread-track event, dispatching on ev.Kind to the
+// method that records it; ev's cycles are region-local. It is how the
+// simulation engine delivers every transaction event, whether at once
+// or replayed at an epoch boundary.
+func (r *Recorder) Record(tid int, ev *Event) {
+	switch ev.Kind {
+	case KTxCommit:
+		r.TxCommit(tid, ev.Cycle, ev.Start, ev.Site, int(ev.Aux))
+	case KTxAbort:
+		r.TxAbort(tid, ev.Cycle, ev.Start, ev.Site, ev.Cause, ev.Arg, int(ev.Aux))
+	case KTxBegin:
+		r.TxBegin(tid, ev.Cycle, ev.Site)
+	case KBackoff:
+		r.STMBackoff(tid, ev.Cycle, ev.Arg, ev.Cause)
+	default:
+		r.TxInstant(tid, ev.Cycle, ev.Site, ev.Kind)
+	}
+}
+
 // HTMSetsAtCommit records the transactional footprint of a committing
 // hardware transaction.
 func (r *Recorder) HTMSetsAtCommit(readLines, writeLines int) {

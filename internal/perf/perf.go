@@ -9,10 +9,14 @@ package perf
 import "sort"
 
 // Set is a collection of named counters. The zero value is not usable; use
-// NewSet. Sets are not safe for concurrent use (the simulation engine
-// serialises all simulated threads).
+// NewSet. Sets are not safe for concurrent use: simulated threads that
+// run concurrently (the sharded engine's parallel phase) each count into
+// a private staging set instead (see Stage).
 type Set struct {
 	m map[string]uint64
+	// staged holds the per-thread staging sets, indexed by thread id
+	// (nil until a thread is staged).
+	staged []*Set
 }
 
 // NewSet returns an empty counter set.
@@ -51,12 +55,41 @@ func (s *Set) Sub(prev map[string]uint64) map[string]uint64 {
 	return out
 }
 
-// MergeInto adds every counter into dst and empties s. Additions
-// commute, so map iteration order cannot affect the merged result.
-func (s *Set) MergeInto(dst *Set) {
-	for k, v := range s.m {
-		dst.m[k] += v
-		delete(s.m, k)
+// Stage gives thread tid, one of n, a private staging set, so that it
+// can count while other threads run concurrently. MergeStaged folds the
+// staging sets back into s.
+func (s *Set) Stage(tid, n int) {
+	if s.staged == nil {
+		s.staged = make([]*Set, n)
+	}
+	if s.staged[tid] == nil {
+		s.staged[tid] = NewSet()
+	}
+}
+
+// For returns the set thread tid counts into: its staging set when
+// staged, s itself otherwise.
+//
+//rtm:hot
+func (s *Set) For(tid int, staged bool) *Set {
+	if staged {
+		return s.staged[tid]
+	}
+	return s
+}
+
+// MergeStaged folds every staging set into s and empties them. Call it
+// once the staged threads have quiesced; additions commute, so the fold
+// order cannot affect the result.
+func (s *Set) MergeStaged() {
+	for _, st := range s.staged {
+		if st == nil {
+			continue
+		}
+		for k, v := range st.m {
+			s.m[k] += v
+		}
+		clear(st.m)
 	}
 }
 

@@ -56,3 +56,20 @@ func TestNamesSorted(t *testing.T) {
 		t.Fatalf("names = %v", got)
 	}
 }
+
+func TestStagedCountsMergeOnce(t *testing.T) {
+	s := NewSet()
+	s.Stage(1, 4)
+	s.Stage(3, 4)
+	s.For(1, false).Inc("x") // unstaged: straight into s
+	s.For(1, true).Add("x", 2)
+	s.For(3, true).Inc("y")
+	if s.Get("x") != 1 || s.Get("y") != 0 {
+		t.Fatalf("staged counts leaked before the merge: x=%d y=%d", s.Get("x"), s.Get("y"))
+	}
+	s.MergeStaged()
+	s.MergeStaged() // the staging sets are empty now
+	if s.Get("x") != 3 || s.Get("y") != 1 {
+		t.Fatalf("after merge: x=%d y=%d, want 3 and 1", s.Get("x"), s.Get("y"))
+	}
+}

@@ -54,10 +54,9 @@ const (
 	// DefMemEvent replays a recorder cache event (Ev holds core in Aux,
 	// line in Arg).
 	DefMemEvent
-	// DefEvent replays a recorder thread-track event (dispatch on
-	// Ev.Kind).
+	// DefEvent replays a recorder thread-track event (Proc.RecordEvent).
 	DefEvent
-	// DefCounter replays Recorder.Add(Name, Val).
+	// DefCounter replays a recorder counter (Proc.RecordCounter).
 	DefCounter
 	// DefCustom is layer-defined and always dispatched to ShardApply
 	// (the HTM layer uses it for conflict-directory probes).
@@ -445,19 +444,7 @@ func (se *shardEngine) applyDef(p *Proc, d *ShardDef) {
 		}
 	case DefEvent:
 		if rec := h.Rec; rec != nil {
-			ev := &d.Ev
-			switch ev.Kind {
-			case obs.KTxCommit:
-				rec.TxCommit(p.id, ev.Cycle, ev.Start, ev.Site, int(ev.Aux))
-			case obs.KTxAbort:
-				rec.TxAbort(p.id, ev.Cycle, ev.Start, ev.Site, ev.Cause, ev.Arg, int(ev.Aux))
-			case obs.KTxBegin:
-				rec.TxBegin(p.id, ev.Cycle, ev.Site)
-			case obs.KBackoff:
-				rec.STMBackoff(p.id, ev.Cycle, ev.Arg, ev.Cause)
-			default:
-				rec.TxInstant(p.id, ev.Cycle, ev.Site, ev.Kind)
-			}
+			rec.Record(p.id, &d.Ev)
 		}
 	case DefCounter:
 		if rec := h.Rec; rec != nil {
@@ -580,15 +567,38 @@ func (p *Proc) DeferFn(fn func()) {
 //rtm:hot
 func (p *Proc) Defer(d ShardDef) { p.pushDef(d) }
 
-// DeferEvent buffers a recorder thread-track event (cycles region-local,
-// as the Recorder methods expect).
-func (p *Proc) DeferEvent(ev obs.Event) {
-	p.pushDef(ShardDef{Kind: DefEvent, Ev: ev})
+// RecordEvent sends a thread-track event (cycles region-local) to the
+// machine's flight recorder, if one is attached: at once on the classic
+// engine and at a boundary, logged for boundary replay in the parallel
+// phase (the recorder is single-threaded).
+//
+//rtm:hot
+func (p *Proc) RecordEvent(ev obs.Event) {
+	if p.eng.H.Rec != nil { // inlined: the disabled path is one compare
+		p.recordEvent(&ev)
+	}
 }
 
-// DeferCounter buffers Recorder.Add(name, n).
-func (p *Proc) DeferCounter(name string, n uint64) {
-	p.pushDef(ShardDef{Kind: DefCounter, Name: name, Val: int64(n)})
+func (p *Proc) recordEvent(ev *obs.Event) {
+	if p.ShardActive() {
+		p.pushDef(ShardDef{Kind: DefEvent, Ev: *ev})
+	} else if rec := p.eng.H.Rec; rec != nil {
+		rec.Record(p.id, ev)
+	}
+}
+
+// RecordCounter adds n to the recorder's named counter, if a recorder is
+// attached, at once or at the next boundary as RecordEvent does.
+func (p *Proc) RecordCounter(name string, n uint64) {
+	rec := p.eng.H.Rec
+	if rec == nil {
+		return
+	}
+	if p.ShardActive() {
+		p.pushDef(ShardDef{Kind: DefCounter, Name: name, Val: int64(n)})
+		return
+	}
+	rec.Add(name, n)
 }
 
 // DeferMemEvent implements mem.ShardSink: recorder traffic from

@@ -153,7 +153,7 @@ func (t *Txn) validateNOrec() {
 		if uint64(t.proc.PeekShared(s.clockAddr)) == v {
 			t.rv = v
 			t.cnt().Inc("stm:extend")
-			t.recAdd("stm:extend", 1)
+			t.proc.RecordCounter("stm:extend", 1)
 			return
 		}
 	}

@@ -18,61 +18,19 @@
 //   - Abort releases held locks with plain stores; those are buffered
 //     and land at the boundary in cycle order, before any retry
 //     attempt's acquisitions (whose issue cycles are later).
-//   - Counters and recorder traffic from the parallel phase go to
-//     per-thread staging sets / deferred recorder ops; boundary-context
-//     increments hit the shared set directly.
+//   - Counters from the parallel phase go to per-thread staging sets
+//     (perf.Set.Stage); boundary-context increments hit the shared set
+//     directly. Recorder traffic goes through sim.Proc.RecordEvent and
+//     RecordCounter, which defer it as the phase requires.
 
 package stm
 
-import (
-	"rtmlab/internal/perf"
-	"rtmlab/internal/sim"
-)
-
-// initShard wires the shard-mode counter staging for tx (called from
-// Attach when the proc runs under the sharded engine); the protocol's
-// shardInit binds the exclusive fns (parameters pass through sAddr/sVer
-// so the hot paths stay allocation-free).
-func (s *System) initShard(p *sim.Proc, tx *Txn) {
-	if s.stage == nil {
-		s.stage = make([]*perf.Set, s.cfg.MaxThreads())
-	}
-	tid := p.ID()
-	if s.stage[tid] == nil {
-		s.stage[tid] = perf.NewSet()
-	}
-}
+import "rtmlab/internal/perf"
 
 // cnt returns the counter set for t's current context: per-thread
 // staging during the parallel phase, the shared set everywhere else.
 //
 //rtm:hot
 func (t *Txn) cnt() *perf.Set {
-	if t.proc.ShardActive() {
-		return t.sys.stage[t.proc.ID()]
-	}
-	return t.sys.Counters
-}
-
-// recAdd emits Recorder.Add(name, n) from any context: deferred during
-// the parallel phase (the recorder is single-threaded), direct otherwise.
-func (t *Txn) recAdd(name string, n uint64) {
-	if t.sys.h.Rec == nil {
-		return
-	}
-	if t.proc.ShardActive() {
-		t.proc.DeferCounter(name, n)
-		return
-	}
-	t.sys.h.Rec.Add(name, n)
-}
-
-// MergeShardCounters folds the per-thread staged counters into Counters.
-// The tm layer calls it once per region, after the engine has quiesced.
-func (s *System) MergeShardCounters() {
-	for _, st := range s.stage {
-		if st != nil {
-			st.MergeInto(s.Counters)
-		}
-	}
+	return t.sys.Counters.For(t.proc.ID(), t.proc.ShardActive())
 }

@@ -133,10 +133,6 @@ type System struct {
 
 	// MaxBackoff caps the exponential backoff in cycles.
 	MaxBackoff uint64
-
-	// stage holds per-thread counter staging sets for the shard parallel
-	// phase (nil under the classic engine); see shard.go.
-	stage []*perf.Set
 }
 
 // NewSystem builds an STM over the hierarchy, running the protocol
@@ -222,7 +218,7 @@ func (s *System) Attach(p *sim.Proc) *Txn {
 		ownedIdx: lineset.NewTable[int32](256),
 	}
 	if p.Sharded() {
-		s.initShard(p, tx)
+		s.Counters.Stage(p.ID(), s.cfg.MaxThreads())
 		proto.shardInit(tx)
 	}
 	return tx
@@ -303,17 +299,10 @@ func (t *Txn) rollback(reason Reason) {
 		window = s.MaxBackoff
 	}
 	backoff := uint64(t.proc.Rng.Intn(int(window))) + 8
-	if rec := s.h.Rec; rec != nil {
-		if t.proc.ShardActive() {
-			// Replayed via Recorder.STMBackoff at the boundary.
-			t.proc.DeferEvent(obs.Event{
-				Cycle: t.proc.Cycles(), Arg: backoff,
-				Kind: obs.KBackoff, Cause: reason.ObsCause(),
-			})
-		} else {
-			rec.STMBackoff(t.proc.ID(), t.proc.Cycles(), backoff, reason.ObsCause())
-		}
-	}
+	t.proc.RecordEvent(obs.Event{
+		Cycle: t.proc.Cycles(), Arg: backoff,
+		Kind: obs.KBackoff, Cause: reason.ObsCause(),
+	})
 	t.proc.AddCycles(backoff)
 }
 
@@ -344,7 +333,7 @@ func (t *Txn) validate() bool {
 }
 
 func (t *Txn) noteValidationFail() {
-	t.recAdd("stm:validation.fail", 1)
+	t.proc.RecordCounter("stm:validation.fail", 1)
 }
 
 // extend tries to move the snapshot forward (time-based design): reread
@@ -357,7 +346,7 @@ func (t *Txn) extend() bool {
 	}
 	t.rv = now
 	t.cnt().Inc("stm:extend")
-	t.recAdd("stm:extend", 1)
+	t.proc.RecordCounter("stm:extend", 1)
 	return true
 }
 

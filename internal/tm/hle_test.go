@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"rtmlab/internal/arch"
-	tracepkg "rtmlab/internal/trace"
+	"rtmlab/internal/obs"
 )
 
 func TestHLECounterAtomicity(t *testing.T) {
@@ -108,26 +108,25 @@ func TestHLEBankTransfers(t *testing.T) {
 	}
 }
 
+// TestTraceTimeline checks the recorder's transaction timeline against
+// the counters: every atomic block commits once (in hardware or on the
+// fallback path), every attempt begins, and every abort is recorded.
 func TestTraceTimeline(t *testing.T) {
 	sys := NewSystem(arch.Haswell(), HTM)
-	buf := tracepkg.NewBuffer(0)
-	sys.Trace = buf
+	rec := obs.NewRecorder("timeline", 0)
+	sys.SetRecorder(rec)
 	sys.Run(2, 3, func(c *Ctx) {
 		for i := 0; i < 30; i++ {
 			c.Atomic(func(tx Tx) { tx.Store(0, tx.Load(0)+1) })
 		}
 	})
-	// Every atomic block ends in either a hardware commit or a fallback
-	// serialisation.
-	done := buf.Count(tracepkg.KindCommit) + buf.Count(tracepkg.KindFallback)
-	if done != 60 {
-		t.Fatalf("commits+fallbacks traced = %d, want 60", done)
+	if got := rec.KindCount(obs.KTxCommit); got != 60 {
+		t.Fatalf("commits recorded = %d, want 60", got)
 	}
-	if buf.Count(tracepkg.KindBegin) < 60 {
-		t.Fatal("begins missing")
+	if got := rec.KindCount(obs.KTxBegin); got < 60 {
+		t.Fatalf("begins recorded = %d, want at least 60", got)
 	}
-	aborts := buf.Count(tracepkg.KindAbort)
-	if uint64(aborts) != sys.Aborts() {
-		t.Fatalf("traced aborts %d != counted %d", aborts, sys.Aborts())
+	if got := rec.KindCount(obs.KTxAbort); got != sys.Aborts() {
+		t.Fatalf("aborts recorded = %d, counted %d", got, sys.Aborts())
 	}
 }

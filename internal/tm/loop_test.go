@@ -15,7 +15,6 @@ import (
 	"rtmlab/internal/obs"
 	"rtmlab/internal/sim"
 	"rtmlab/internal/stm"
-	"rtmlab/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/atomic_loop.golden from current output")
@@ -133,13 +132,12 @@ func loopBody(b Backend, overflowLines int, after func(c *Ctx)) func(c *Ctx) {
 	}
 }
 
-// loopDigest runs lc with a recorder and a trace buffer attached and
-// hashes what the run left behind, one digest per output class.
+// loopDigest runs lc with a recorder attached and hashes what the run
+// left behind, one digest per output class.
 func loopDigest(lc loopCase) string {
 	sys := loopSystem(lc)
 	rec := obs.NewRecorder("loop", 0)
 	sys.SetRecorder(rec)
-	sys.Trace = trace.NewBuffer(0)
 	res := sys.Run(4, 7, loopBody(lc.backend, 2*sys.Arch.L1.Lines(), nil))
 
 	var parts []string
@@ -165,11 +163,6 @@ func loopDigest(lc loopCase) string {
 			}
 		}
 	})
-	sum("trace", func(h hash.Hash) {
-		for _, e := range sys.Trace.Events() {
-			fmt.Fprintf(h, "%+v\n", e)
-		}
-	})
 	return strings.Join(parts, " ")
 }
 
@@ -189,9 +182,9 @@ func writeCounters(h hash.Hash, set string, m map[string]uint64) {
 	}
 }
 
-// TestAtomicLoopGolden pins every simulated cycle, counter, recorder
-// event and trace event the atomic-block loop produces, for every
-// backend on both engines and every STM protocol. It is the parity check
+// TestAtomicLoopGolden pins every simulated cycle, counter and recorder
+// event the atomic-block loop produces, for every backend on both
+// engines and every STM protocol. It is the parity check
 // for changes to the loop, and the only end-to-end check of HLE. Run
 // with -update to rewrite the golden file.
 func TestAtomicLoopGolden(t *testing.T) {

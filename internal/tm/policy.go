@@ -7,7 +7,6 @@ import (
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
 	"rtmlab/internal/stm"
-	"rtmlab/internal/trace"
 )
 
 // attemptMode is how the attempts of one phase execute.
@@ -52,11 +51,10 @@ var guards = [...]struct {
 	addr    uint64
 	code    uint8  // explicit-abort code of a hardware attempt that finds it held
 	counter string // counts fallbacks onto the guard
-	detail  string // trace detail of the fallback event
 }{
-	guardSerial:    {serialLockAddr, xabortLockHeld, "tm:fallback", ""},
-	guardHLE:       {hleLockAddr, xabortHLEHeld, "tm:hle.fallback", "hle"},
-	guardSTMActive: {stmActiveAddr, xabortSTMActive, "tm:hybrid.fallback", "stm"},
+	guardSerial:    {serialLockAddr, xabortLockHeld, "tm:fallback"},
+	guardHLE:       {hleLockAddr, xabortHLEHeld, "tm:hle.fallback"},
+	guardSTMActive: {stmActiveAddr, xabortSTMActive, "tm:hybrid.fallback"},
 }
 
 // held reports whether the guard word value v excludes hardware attempts.
@@ -160,7 +158,6 @@ func (c *Ctx) Atomic(body func(t Tx)) {
 	if !c.phase(body, p.mode, p.budget) {
 		g := &guards[p.guard]
 		c.cnt().Inc(g.counter)
-		c.emit(trace.KindFallback, g.detail)
 		c.obsInstant(obs.KTxFallback)
 		c.phase(body, p.fallback, unbounded)
 	}
@@ -222,17 +219,13 @@ func (c *Ctx) attempt(body func(t Tx), mode attemptMode) (out outcome) {
 		body(rawTx{c})
 		return committed
 	case modeSoftware:
-		c.emit(trace.KindBegin, "")
 		c.stx.Begin()
 		body(stmTx{c})
 		c.stx.Commit()
 	case modeHardware:
 		p := &c.sys.policy
 		if p.elide {
-			c.emit(trace.KindElide, "")
 			c.obsInstant(obs.KTxElide)
-		} else {
-			c.emit(trace.KindBegin, "")
 		}
 		c.sys.HTM.Begin(c.htx)
 		// Subscribe to the guard inside the transaction (adding it to the
@@ -243,14 +236,13 @@ func (c *Ctx) attempt(body func(t Tx), mode attemptMode) (out outcome) {
 		body(htmTx{c})
 		c.htx.Commit()
 	}
-	c.emit(trace.KindCommit, "")
 	return committed
 }
 
 // recoverAttempt turns the panic that ended an attempt into its outcome
 // and records the abort. A direct attempt ends early only by Restart,
 // which wastes the attempt like any abort (cause "none", keeping spans
-// balanced) but is neither traced nor counted per site.
+// balanced) but is not counted per site.
 //
 // Under the sharded engine a doomed speculative attempt can read
 // mixed-epoch state before its abort is delivered, and fault in workload
@@ -293,7 +285,7 @@ func (c *Ctx) recoverAttempt(r any, mode attemptMode) outcome {
 		c.recordAbort(sa.Reason.String(), sa.Reason.ObsCause(), sa.Addr, sa.By)
 		return aborted
 	}
-	c.recordAbort(ha.Cause.String(), obsCause(ha.Cause), ha.ConflictLine, ha.ByThread)
+	c.recordAbort(ha.Cause.String(), ha.Cause, ha.ConflictLine, ha.ByThread)
 	return c.sys.policy.guard.classify(ha)
 }
 
@@ -311,14 +303,13 @@ func (g guard) classify(a htm.Abort) outcome {
 	return aborted
 }
 
-// recordAbort counts, traces and records one aborted speculative attempt.
+// recordAbort counts and records one aborted speculative attempt.
 func (c *Ctx) recordAbort(cause string, oc obs.Cause, line uint64, by int) {
 	if c.site != "" {
 		cnt := c.cnt()
 		cnt.Inc("site:" + c.site + ":aborts")
 		cnt.Inc("site:" + c.site + ":abort." + cause)
 	}
-	c.emit(trace.KindAbort, cause)
 	c.obsAbort(oc, line, by)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/obs"
-	"rtmlab/internal/trace"
 )
 
 // shardBackends are the backends exercised under the sharded engine.
@@ -166,35 +165,41 @@ func TestShardBankConservation(t *testing.T) {
 	}
 }
 
-// TestShardObsAndTraceInvariance runs with the flight recorder and trace
-// buffer attached: deferred recorder/trace traffic must replay into the
-// same totals for any worker count.
-func TestShardObsAndTraceInvariance(t *testing.T) {
-	run := func(shards int) (map[string]uint64, uint64, uint64, int) {
+// TestShardObsInvariance runs with the flight recorder attached:
+// deferred recorder traffic must replay into the same counters and the
+// same event timeline, thread by thread, for any worker count.
+func TestShardObsInvariance(t *testing.T) {
+	run := func(shards int) (map[string]uint64, [][]obs.Event) {
 		sys := NewSystem(shardCfg(shards, 0), HTM)
 		rec := obs.NewRecorder("shard-test", 0)
 		sys.SetRecorder(rec)
-		sys.Trace = trace.NewBuffer(0)
 		for i := 0; i < 24; i++ {
 			sys.H.Poke(uint64(i)*arch.LineSize, 1000)
 		}
 		sys.Run(4, 7, bankBody(24, 120))
-		return sys.Counters.Snapshot(),
-			rec.KindCount(obs.KTxCommit), rec.KindCount(obs.KTxAbort),
-			sys.Trace.Len()
+		events := make([][]obs.Event, rec.Threads())
+		for tid := range events {
+			events[tid] = rec.ThreadEvents(tid)
+		}
+		return sys.Counters.Snapshot(), events
 	}
-	wantCnt, wantCommits, wantAborts, wantTrace := run(1)
-	if wantCommits == 0 || wantTrace == 0 {
-		t.Fatalf("recorder/trace saw nothing (commits=%d trace=%d)", wantCommits, wantTrace)
+	wantCnt, wantEvents := run(1)
+	if len(wantEvents) != 4 || len(wantEvents[0]) == 0 {
+		t.Fatalf("recorder saw %d thread tracks, want 4 non-empty", len(wantEvents))
 	}
 	for _, shards := range []int{2, 4} {
-		cnt, commits, aborts, traceLen := run(shards)
+		cnt, events := run(shards)
 		if !reflect.DeepEqual(wantCnt, cnt) {
 			t.Errorf("shards=%d: counters diverge:\n got %v\nwant %v", shards, cnt, wantCnt)
 		}
-		if commits != wantCommits || aborts != wantAborts || traceLen != wantTrace {
-			t.Errorf("shards=%d: commits/aborts/trace = %d/%d/%d, want %d/%d/%d",
-				shards, commits, aborts, traceLen, wantCommits, wantAborts, wantTrace)
+		if len(events) != len(wantEvents) {
+			t.Fatalf("shards=%d: %d thread tracks, want %d", shards, len(events), len(wantEvents))
+		}
+		for tid := range wantEvents {
+			if !reflect.DeepEqual(wantEvents[tid], events[tid]) {
+				t.Errorf("shards=%d: thread %d timeline diverges (%d events, want %d)",
+					shards, tid, len(events[tid]), len(wantEvents[tid]))
+			}
 		}
 	}
 }

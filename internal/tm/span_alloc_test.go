@@ -14,7 +14,7 @@ import (
 // the per-thread event streams reach their high-water mark during
 // warmup and then recycle — with an unlimited ring the append itself
 // would dominate as amortised growth. Runs the classic and sharded
-// engines (sharded adds the DeferEvent begin/commit replay path).
+// engines (sharded adds the deferred begin/commit replay path).
 func TestSpanPathZeroAlloc(t *testing.T) {
 	for _, b := range []Backend{Lock, STM, HTM, HTMBare, HLE, Hybrid} {
 		for _, sharded := range []bool{false, true} {

@@ -41,7 +41,6 @@ import (
 	"rtmlab/internal/perf"
 	"rtmlab/internal/sim"
 	"rtmlab/internal/stm"
-	"rtmlab/internal/trace"
 	"rtmlab/internal/vm"
 )
 
@@ -108,47 +107,22 @@ type System struct {
 	// stamp runner accumulates region-of-interest totals with it).
 	RegionHook func(sim.Result)
 
-	// Trace, if set, records a transaction-event timeline.
-	Trace *trace.Buffer
-
 	// Obs, if set, is the flight recorder receiving commit/abort events,
 	// histograms and the per-site abort matrix. Set it with SetRecorder so
 	// the memory hierarchy (and through it the htm/stm/sim layers) sees
 	// the same recorder.
 	Obs *obs.Recorder
-
-	// stage holds per-thread staging sets for Counters increments made
-	// during the shard parallel phase (nil under the classic engine);
-	// Run folds them into Counters after each region.
-	stage []*perf.Set
-}
-
-// cnt returns the counter set for tid: the per-thread staging set under
-// the sharded engine (increments can come from concurrent shard workers,
-// e.g. the HTM abort hook firing on a local abort), the shared set
-// otherwise.
-//
-//rtm:hot
-func (s *System) cnt(tid int) *perf.Set {
-	if s.stage != nil {
-		return s.stage[tid]
-	}
-	return s.Counters
 }
 
 // mergeStaged folds every layer's per-thread staged counters into the
 // shared sets. Called once per region, after the engine has quiesced.
 func (s *System) mergeStaged() {
-	for _, st := range s.stage {
-		if st != nil {
-			st.MergeInto(s.Counters)
-		}
-	}
+	s.Counters.MergeStaged()
 	if s.HTM != nil {
-		s.HTM.MergeShardCounters()
+		s.HTM.Counters.MergeStaged()
 	}
 	if s.STM != nil {
-		s.STM.MergeShardCounters()
+		s.STM.Counters.MergeStaged()
 	}
 }
 
@@ -197,8 +171,11 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 // countLockAbort classifies a hardware abort caused by a lock a fallback
 // path took: the serialisation lock ("lock aborts", Fig. 12) or the HLE
 // lock.
+//
+// Under the sharded engine the count is staged even at a boundary: the
+// hook also fires from a shard worker, on a local abort.
 func (s *System) countLockAbort(tid int, a htm.Abort) {
-	cnt := s.cnt(tid)
+	cnt := s.Counters.For(tid, s.ctxs[tid].P.Sharded())
 	switch guardSerial.classify(a) {
 	case guardTaken:
 		cnt.Inc("tm:abort.lock")
@@ -270,12 +247,7 @@ func (s *System) Measure(res sim.Result, abortsBefore uint64) energy.Measure {
 func (s *System) attach(p *sim.Proc) *Ctx {
 	tid := p.ID()
 	if p.Sharded() {
-		if s.stage == nil {
-			s.stage = make([]*perf.Set, s.Arch.MaxThreads())
-		}
-		if s.stage[tid] == nil {
-			s.stage[tid] = perf.NewSet()
-		}
+		s.Counters.Stage(tid, s.Arch.MaxThreads())
 	}
 	if s.pools[tid] == nil {
 		s.pools[tid] = s.Heap.NewPool()
@@ -345,10 +317,7 @@ type Ctx struct {
 //
 //rtm:hot
 func (c *Ctx) cnt() *perf.Set {
-	if c.P.ShardActive() {
-		return c.sys.stage[c.P.ID()]
-	}
-	return c.sys.Counters
+	return c.sys.Counters.For(c.P.ID(), c.P.ShardActive())
 }
 
 // System returns the owning system.
@@ -472,26 +441,6 @@ type restartSignal struct{}
 // first-try commit).
 func (c *Ctx) Retries() int { return c.aborts }
 
-// emit records a trace event if tracing is enabled. The trace buffer is
-// single-threaded, so shard workers buffer the event for boundary replay.
-func (c *Ctx) emit(kind trace.Kind, detail string) {
-	if c.sys.Trace == nil {
-		return
-	}
-	ev := trace.Event{
-		Cycle:  c.P.Cycles(),
-		Thread: c.P.ID(),
-		Kind:   kind,
-		Site:   c.site,
-		Detail: detail,
-	}
-	if c.P.ShardActive() {
-		c.P.DeferFn(func() { c.sys.Trace.Emit(ev) })
-		return
-	}
-	c.sys.Trace.Emit(ev)
-}
-
 // AtomicSite runs an atomic block tagged with a site name. Per-site
 // counters accumulate in System.Counters: "site:<name>:commits",
 // ":cycles" (inclusive of retries), ":aborts" and ":abort.<cause>" —
@@ -541,75 +490,30 @@ func (c *Ctx) siteID(r *obs.Recorder, site string) int32 {
 // terminated by a commit or an abort before the next begin).
 func (c *Ctx) beginAttempt() {
 	c.attemptStart = c.P.Cycles()
-	r := c.sys.Obs
-	if r == nil {
-		return
-	}
-	if c.P.ShardActive() {
-		c.P.DeferEvent(obs.Event{
-			Cycle: c.attemptStart, Site: c.obsSite, Aux: -1, Kind: obs.KTxBegin,
-		})
-		return
-	}
-	r.TxBegin(c.P.ID(), c.attemptStart, c.obsSite)
+	c.P.RecordEvent(obs.Event{Cycle: c.attemptStart, Site: c.obsSite, Aux: -1, Kind: obs.KTxBegin})
 }
 
 // obsCommit records the committed atomic block on the flight recorder:
-// one slice from block start (retries included) to now. The recorder is
-// single-threaded, so shard workers defer the event for boundary replay.
+// one slice from block start (retries included) to now.
 func (c *Ctx) obsCommit(retries int) {
-	r := c.sys.Obs
-	if r == nil {
-		return
-	}
-	if c.P.ShardActive() {
-		c.P.DeferEvent(obs.Event{
-			Cycle: c.P.Cycles(), Start: c.blockStart, Site: c.obsSite,
-			Aux: int32(retries), Kind: obs.KTxCommit,
-		})
-		return
-	}
-	r.TxCommit(c.P.ID(), c.P.Cycles(), c.blockStart, c.obsSite, retries)
+	c.P.RecordEvent(obs.Event{
+		Cycle: c.P.Cycles(), Start: c.blockStart, Site: c.obsSite,
+		Aux: int32(retries), Kind: obs.KTxCommit,
+	})
 }
 
 // obsAbort records one wasted attempt with its cause, the conflicting
 // line (0 if none) and the aggressor thread (-1 if none).
 func (c *Ctx) obsAbort(cause obs.Cause, line uint64, by int) {
-	r := c.sys.Obs
-	if r == nil {
-		return
-	}
-	if c.P.ShardActive() {
-		c.P.DeferEvent(obs.Event{
-			Cycle: c.P.Cycles(), Start: c.attemptStart, Site: c.obsSite,
-			Cause: cause, Arg: line, Aux: int32(by), Kind: obs.KTxAbort,
-		})
-		return
-	}
-	r.TxAbort(c.P.ID(), c.P.Cycles(), c.attemptStart, c.obsSite, cause, line, by)
+	c.P.RecordEvent(obs.Event{
+		Cycle: c.P.Cycles(), Start: c.attemptStart, Site: c.obsSite,
+		Cause: cause, Arg: line, Aux: int32(by), Kind: obs.KTxAbort,
+	})
 }
 
 // obsInstant records a point event (fallback serialisation, HLE elide).
 func (c *Ctx) obsInstant(kind obs.Kind) {
-	r := c.sys.Obs
-	if r == nil {
-		return
-	}
-	if c.P.ShardActive() {
-		c.P.DeferEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite, Kind: kind})
-		return
-	}
-	r.TxInstant(c.P.ID(), c.P.Cycles(), c.obsSite, kind)
-}
-
-// obsCause maps an HTM abort cause onto the unified taxonomy. The first
-// eight values of both enums are declared in the same order; the guard
-// keeps an out-of-range value from aliasing an STM cause.
-func obsCause(c htm.Cause) obs.Cause {
-	if c <= htm.CauseNestDepth {
-		return obs.Cause(c)
-	}
-	return obs.CauseNone
+	c.P.RecordEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite, Kind: kind})
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).

@@ -38,6 +38,11 @@ echo "== benchmark smoke (one iteration each) =="
 # (bench/, end to end).
 go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm ./internal/tm ./internal/vm
 
+echo "== example smoke (abort timeline from the flight recorder) =="
+# The examples compile with go build above; this one also runs, since
+# it is the recorder's plain-text timeline view.
+go run ./examples/abort-timeline -n 5 > /dev/null
+
 echo "== flight-recorder smoke (traced experiment + validation) =="
 # One tiny traced experiment end to end: the trace must be valid JSON
 # with the structure Perfetto needs, and the metrics sidecar must be
@@ -66,6 +71,16 @@ if go run ./cmd/rtmlab -scale test -seeds 1 -epoch-cycles 999 table4 > /dev/null
     echo "rtmlab accepted -epoch-cycles without -shards"
     exit 1
 fi
+# -shards below -1 and a negative -trace-limit have no meaning; they
+# must exit 2 rather than silently fall back to auto / unbounded.
+for bad in "-shards -2" "-trace-limit -1"; do
+    # $bad is split on purpose: it is a flag and its value.
+    # shellcheck disable=SC2086
+    if go run ./cmd/rtmlab -scale test -seeds 1 $bad table4 > /dev/null 2>&1; then
+        echo "rtmlab accepted $bad"
+        exit 1
+    fi
+done
 
 echo "== stm protocol smoke (tinystm/tl2/norec, traced point each) =="
 # One traced STM-exercising point per -stm-protocol setting: the trace
