@@ -16,9 +16,9 @@ package analysis
 //     their receiver-state mutation is not an effect;
 //   - mem.ShardSink and the (*sim.Proc).Defer*/Record* methods are the
 //     sanctioned mid-epoch delta channel (buffered, replayed at the
-//     boundary); the closure-taking DeferFn/Exclusive run their
-//     argument at the boundary, so closure effects must not fold into
-//     the mid-epoch caller;
+//     boundary); the closure-taking Exclusive runs its argument at
+//     the boundary, so closure effects must not fold into the
+//     mid-epoch caller;
 //   - the classic Hierarchy/Memory entry points and the flight recorder
 //     mutate shared or single-threaded state and are boundary-only
 //     under the sharded engine (EffBoundary);
@@ -63,7 +63,6 @@ var methodEffects = []struct {
 	{"internal/sim", "Proc", "AddWork", intrinsicEffect{desc: "accrues simulated work cycles"}},
 	// Sanctioned mid-epoch delta channel.
 	{"internal/mem", "ShardSink", "", intrinsicEffect{desc: "is the sanctioned ownership-delta channel"}},
-	{"internal/sim", "Proc", "DeferFn", intrinsicEffect{deferred: true, desc: "defers to the epoch boundary"}},
 	{"internal/sim", "Proc", "Exclusive", intrinsicEffect{deferred: true, desc: "runs at the epoch boundary"}},
 	{"internal/sim", "Proc", "RecordEvent", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},
 	{"internal/sim", "Proc", "RecordCounter", intrinsicEffect{desc: "is the sanctioned deferred-event channel"}},

@@ -48,6 +48,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.L2.SizeBytes = 12345 },
 		func(c *Config) { c.TSX.MaxNest = 0 },
 		func(c *Config) { c.STM.LockArrayLog2 = 1 },
+		func(c *Config) { c.Cores = 65; c.ThreadsPerCore = 1 },
+		func(c *Config) { c.Cores = 17; c.ThreadsPerCore = 2 },
 	}
 	for i, mutate := range cases {
 		c := Haswell()

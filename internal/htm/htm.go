@@ -94,6 +94,9 @@ type track struct {
 	writer  int8   // thread with the line in its write set, -1 if none
 }
 
+// maxThreads is the number of hardware threads track.readers can hold.
+const maxThreads = 32
+
 // Txn is the per-hardware-thread transaction state.
 type Txn struct {
 	sys    *System
@@ -176,8 +179,13 @@ type System struct {
 }
 
 // NewSystem builds the RTM model over a hierarchy, wiring its eviction
-// hooks. pt may be nil, in which case no page-fault aborts occur.
+// hooks. pt may be nil, in which case no page-fault aborts occur. It
+// panics if cfg has more hardware threads than a directory entry can
+// track (arch.Config.Validate rejects such configs).
 func NewSystem(cfg *arch.Config, h *mem.Hierarchy, pt *vm.PageTable) *System {
+	if n := cfg.MaxThreads(); n > maxThreads {
+		panic(fmt.Sprintf("htm: %d hardware threads exceed the %d-thread tracker mask", n, maxThreads))
+	}
 	s := &System{
 		cfg:      cfg,
 		h:        h,
@@ -239,7 +247,7 @@ func (s *System) preOp(tx *Txn) {
 		panic(tx.pendingAbort) //rtmvet:ignore abort delivery, runs once per abort not per operation
 	}
 	if s.tickBetween(tx.proc.Core(), tx.start, tx.proc.Cycles()) {
-		s.abortSelf(tx, Abort{Status: StatusRetry, Cause: CauseInterrupt, ByThread: -1})
+		s.abort(tx, Abort{Status: StatusRetry, Cause: CauseInterrupt, ByThread: -1})
 		tx.pending = false
 		panic(tx.pendingAbort) //rtmvet:ignore abort delivery, runs once per abort not per operation
 	}
@@ -302,7 +310,7 @@ func (s *System) Begin(tx *Txn) uint32 {
 	if tx.active {
 		tx.nest++
 		if tx.nest >= s.cfg.TSX.MaxNest {
-			s.abortSelf(tx, Abort{Status: StatusNested, Cause: CauseNestDepth, ByThread: -1})
+			s.abort(tx, Abort{Status: StatusNested, Cause: CauseNestDepth, ByThread: -1})
 			tx.pending = false
 			panic(tx.pendingAbort)
 		}
@@ -348,22 +356,7 @@ func (t *Txn) Load(addr uint64) int64 {
 			// Conflict probe only for lines not yet in our read set: once a
 			// line is ours, no foreign writer can appear without aborting us
 			// first (requester wins in Store/RawStore/RawRMW).
-			e, fresh := s.dir.Upsert(la)
-			if fresh {
-				e.writer = -1
-			} else if e.writer >= 0 && int(e.writer) != t.proc.ID() {
-				// Requester wins: the writer's transaction dies. Its
-				// rollback deletes directory entries, which can move ours
-				// (backward-shift compaction), so re-establish it.
-				s.abortTx(s.txs[e.writer], Abort{
-					Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-					ConflictLine: la, ByThread: t.proc.ID(),
-				})
-				if e, fresh = s.dir.Upsert(la); fresh {
-					e.writer = -1
-				}
-			}
-			e.readers |= 1 << uint(t.proc.ID())
+			s.claim(s.dir, la, t.proc.ID(), false)
 		}
 		t.lastRead = la
 		t.checkPageFault(addr)
@@ -384,42 +377,12 @@ func (t *Txn) Store(addr uint64, val int64) {
 		return
 	}
 	la := mem.LineAddr(addr)
-	self := t.proc.ID()
 	if la != t.lastWrite {
 		if t.writeSet.Add(la) {
 			// Conflict probe only for lines not yet in our write set: while
 			// we own a line as writer, any foreign reader's Load would have
 			// requester-wins-aborted us, so no foreign trackers can exist.
-			e, fresh := s.dir.Upsert(la)
-			if !fresh {
-				// Snapshot the entry: the victims' rollbacks mutate and may
-				// move it (backward-shift compaction on delete).
-				snap := *e
-				conflicted := false
-				if snap.writer >= 0 && int(snap.writer) != self {
-					conflicted = true
-					s.abortTx(s.txs[snap.writer], Abort{
-						Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-						ConflictLine: la, ByThread: self,
-					})
-				}
-				if readers := snap.readers &^ (1 << uint(self)); readers != 0 {
-					conflicted = true
-					for tid := 0; readers != 0; tid++ {
-						if readers&(1<<uint(tid)) != 0 {
-							readers &^= 1 << uint(tid)
-							s.abortTx(s.txs[tid], Abort{
-								Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-								ConflictLine: la, ByThread: self,
-							})
-						}
-					}
-				}
-				if conflicted {
-					e, _ = s.dir.Upsert(la)
-				}
-			}
-			e.writer = int8(self)
+			s.claim(s.dir, la, t.proc.ID(), true)
 		}
 		t.lastWrite = la
 		t.checkPageFault(addr)
@@ -443,7 +406,7 @@ func (t *Txn) checkPageFault(addr uint64) {
 	// abort, so the page becomes resident for the retry.
 	s.pt.Touch(addr)
 	t.proc.AddCycles(s.pt.FaultCycles)
-	s.abortTx(t, Abort{Status: 0, Cause: CausePageFault, ByThread: -1})
+	s.abort(t, Abort{Status: 0, Cause: CausePageFault, ByThread: -1})
 	t.pending = false
 	panic(t.pendingAbort)
 }
@@ -462,7 +425,7 @@ func (t *Txn) XAbort(code uint8) {
 	s := t.sys
 	t.ensureActive("XAbort")
 	t.proc.AddCycles(s.cfg.TSX.XAbortCost)
-	s.abortSelf(t, Abort{
+	s.abort(t, Abort{
 		Status:   StatusExplicit | uint32(code)<<24,
 		Cause:    CauseExplicit,
 		ByThread: -1,
@@ -491,10 +454,7 @@ func (t *Txn) Fault() (a Abort, ok bool) {
 	if !t.active {
 		return Abort{}, false
 	}
-	t.sys.abortSelf(t, Abort{
-		Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-		ByThread: -1,
-	})
+	t.sys.abort(t, conflict(0, -1))
 	t.pending = false
 	return t.pendingAbort, true
 }
@@ -524,13 +484,12 @@ func (t *Txn) Commit() {
 	s.Counters.Inc(perf.RTMCommit)
 }
 
-// abortTx rolls back tx immediately (restoring memory and dropping its
-// speculative lines) and arranges for its thread to panic at its next
-// operation (or immediately, if the caller is the victim and chooses to).
+// abortTx rolls back the live tx immediately (restoring memory and
+// dropping its speculative lines) and arranges for its thread to panic at
+// its next operation (or immediately, if the caller is the victim and
+// chooses to). Callers go through abort, which picks it outside the
+// shard parallel phase.
 func (s *System) abortTx(tx *Txn, a Abort) {
-	if tx == nil || !tx.active {
-		return
-	}
 	if rec := s.h.Rec; rec != nil {
 		rec.HTMSetsAtAbort(tx.readSet.Len(), tx.writeSet.Len())
 	}
@@ -587,30 +546,16 @@ func (s *System) countAbort(c *perf.Set, a Abort) {
 func (s *System) clearSets(tx *Txn) {
 	// Per-line directory updates commute (each clears this thread's own
 	// claim on one line), so set iteration order cannot leak into state.
-	tid := tx.proc.ID()
+	sl, tid := tx.slice(), tx.proc.ID()
 	tx.readSet.Range(func(la uint64) bool {
-		if tx.sliceRelease(la, false) {
-			return true
-		}
-		if e := s.dir.Ref(la); e != nil {
-			e.readers &^= 1 << uint(tid)
-			if e.readers == 0 && e.writer < 0 {
-				s.dir.Delete(la)
-			}
+		if sl == nil || !release(sl, la, tid, false) {
+			release(s.dir, la, tid, false)
 		}
 		return true
 	})
 	tx.writeSet.Range(func(la uint64) bool {
-		if tx.sliceRelease(la, true) {
-			return true
-		}
-		if e := s.dir.Ref(la); e != nil {
-			if int(e.writer) == tid {
-				e.writer = -1
-			}
-			if e.readers == 0 && e.writer < 0 {
-				s.dir.Delete(la)
-			}
+		if sl == nil || !release(sl, la, tid, true) {
+			release(s.dir, la, tid, true)
 		}
 		return true
 	})
@@ -632,15 +577,8 @@ func (s *System) onL1Evict(core int, la uint64) {
 		// directory lags by up to an epoch mid-parallel and by unreplayed
 		// probes mid-boundary).
 		for tid := core; tid < len(s.txs); tid += s.cfg.Cores {
-			tx := s.txs[tid]
-			if tx == nil || !tx.active || !tx.writeSet.Contains(la) {
-				continue
-			}
-			a := Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1}
-			if tx.proc.ShardActive() {
-				tx.localAbort(a)
-			} else {
-				s.abortTx(tx, a)
+			if tx := s.txs[tid]; tx != nil && tx.writeSet.Contains(la) {
+				s.abort(tx, Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1})
 			}
 		}
 		return
@@ -649,14 +587,9 @@ func (s *System) onL1Evict(core int, la uint64) {
 	if !ok || e.writer < 0 {
 		return
 	}
-	tx := s.txs[e.writer]
-	if tx == nil || !tx.active || tx.proc.Core() != core {
-		return
+	if tx := s.txs[e.writer]; tx != nil && tx.proc.Core() == core && tx.writeSet.Contains(la) {
+		s.abort(tx, Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1})
 	}
-	if !tx.writeSet.Contains(la) {
-		return
-	}
-	s.abortTx(tx, Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1})
 }
 
 // onL3Evict implements read-set capacity aborts: a transactionally read
@@ -667,46 +600,7 @@ func (s *System) onL3Evict(la uint64) {
 	// Slice-tracked claims are subject to the same inclusive-L3 bound as
 	// directory-tracked ones. L3 fills and evictions only happen in
 	// boundary or classic contexts, where the slices are safe to read.
-	for _, sl := range s.slices {
-		se, ok := sl.Get(la)
-		if !ok {
-			continue
-		}
-		if se.writer >= 0 {
-			if tx := s.txs[se.writer]; tx != nil && tx.active {
-				s.abortTx(tx, Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1})
-			}
-		}
-		readers := se.readers
-		for tid := 0; readers != 0; tid++ {
-			if readers&(1<<uint(tid)) == 0 {
-				continue
-			}
-			readers &^= 1 << uint(tid)
-			if tx := s.txs[tid]; tx != nil && tx.active {
-				s.abortTx(tx, Abort{Status: StatusConflict, Cause: CauseReadCapacity, ByThread: -1})
-			}
-		}
-	}
-	e, ok := s.dir.Get(la)
-	if !ok {
-		return
-	}
-	if e.writer >= 0 {
-		if tx := s.txs[e.writer]; tx != nil && tx.active {
-			s.abortTx(tx, Abort{Status: StatusCapacity, Cause: CauseWriteCapacity, ByThread: -1})
-		}
-	}
-	readers := e.readers
-	for tid := 0; readers != 0; tid++ {
-		if readers&(1<<uint(tid)) == 0 {
-			continue
-		}
-		readers &^= 1 << uint(tid)
-		if tx := s.txs[tid]; tx != nil && tx.active {
-			s.abortTx(tx, Abort{Status: StatusConflict, Cause: CauseReadCapacity, ByThread: -1})
-		}
-	}
+	s.kill(la, -1, true, true)
 }
 
 // onL2Evict implements the L2-bounded read-set ablation: a line leaving a
@@ -723,12 +617,8 @@ func (s *System) onL2Evict(core int, la uint64) {
 			continue
 		}
 		readers &^= 1 << uint(tid)
-		tx := s.txs[tid]
-		if tx == nil || !tx.active || tx.proc.Core() != core {
-			continue
-		}
-		if tx.readSet.Contains(la) {
-			s.abortTx(tx, Abort{Status: StatusConflict, Cause: CauseReadCapacity, ByThread: -1})
+		if tx := s.txs[tid]; tx != nil && tx.proc.Core() == core && tx.readSet.Contains(la) {
+			s.abort(tx, Abort{Status: StatusConflict, Cause: CauseReadCapacity, ByThread: -1})
 		}
 	}
 }
@@ -769,13 +659,7 @@ func (s *System) RawLoad(p *sim.Proc, addr uint64) int64 {
 		return p.Load(addr)
 	}
 	if s.dir.Len() != 0 {
-		la := mem.LineAddr(addr)
-		if e, ok := s.dir.Get(la); ok && e.writer >= 0 && int(e.writer) != p.ID() {
-			s.abortTx(s.txs[e.writer], Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: p.ID(),
-			})
-		}
+		s.kill(mem.LineAddr(addr), p.ID(), false, false)
 	}
 	if s.pt != nil {
 		s.pt.Service(p, addr)
@@ -794,7 +678,7 @@ func (s *System) RawStore(p *sim.Proc, addr uint64, val int64) {
 		return
 	}
 	if s.dir.Len() != 0 {
-		s.killTrackers(p.ID(), mem.LineAddr(addr))
+		s.kill(mem.LineAddr(addr), p.ID(), true, false)
 	}
 	if s.pt != nil {
 		s.pt.Service(p, addr)
@@ -825,78 +709,10 @@ func (s *System) RawRMW(p *sim.Proc, addr uint64, f func(int64) int64) int64 {
 	// Atomic step: kill every tracker (their undo logs restore first, so
 	// Peek sees committed state), then read-modify-write. No yields occur
 	// from here to the Poke.
-	s.killTrackers(p.ID(), mem.LineAddr(addr))
+	s.kill(mem.LineAddr(addr), p.ID(), true, false)
 	old := s.h.Peek(addr)
 	s.h.Poke(addr, f(old))
 	return old
-}
-
-// killTrackers conflict-aborts every active transaction (other than self)
-// that has the line in its read or write set. It performs no simulated
-// memory operations and never yields.
-func (s *System) killTrackers(self int, la uint64) {
-	// Slice claims first: the victims' rollbacks can delete global
-	// directory entries (relocating others), so the global entry is
-	// snapshotted only afterwards.
-	s.sliceKill(self, la, true)
-	// Work from a value snapshot: each victim's rollback mutates (and can
-	// relocate) the directory entry.
-	e, ok := s.dir.Get(la)
-	if !ok {
-		return
-	}
-	if e.writer >= 0 && int(e.writer) != self {
-		s.abortTx(s.txs[e.writer], Abort{
-			Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-			ConflictLine: la, ByThread: self,
-		})
-	}
-	readers := e.readers &^ (1 << uint(self))
-	for tid := 0; readers != 0; tid++ {
-		if readers&(1<<uint(tid)) != 0 {
-			readers &^= 1 << uint(tid)
-			s.abortTx(s.txs[tid], Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: self,
-			})
-		}
-	}
-}
-
-// sliceKill conflict-aborts slice-tracked claimants of la other than
-// self: any writer, plus every reader when the requester writes. It runs
-// only in boundary or classic-serial contexts, where every slice is safe
-// to read; victims' rollbacks mutate the slices, so each entry is
-// snapshotted by value first.
-func (s *System) sliceKill(self int, la uint64, write bool) {
-	for _, sl := range s.slices {
-		if sl.Len() == 0 {
-			continue
-		}
-		e, ok := sl.Get(la)
-		if !ok {
-			continue
-		}
-		if e.writer >= 0 && int(e.writer) != self {
-			s.abortTx(s.txs[e.writer], Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: self,
-			})
-		}
-		if !write {
-			continue
-		}
-		readers := e.readers &^ (1 << uint(self))
-		for tid := 0; readers != 0; tid++ {
-			if readers&(1<<uint(tid)) != 0 {
-				readers &^= 1 << uint(tid)
-				s.abortTx(s.txs[tid], Abort{
-					Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-					ConflictLine: la, ByThread: self,
-				})
-			}
-		}
-	}
 }
 
 // ActiveLines returns the number of lines currently tracked (for tests).

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"slices"
 	"testing"
 
 	"rtmlab/internal/arch"
@@ -678,4 +679,146 @@ func TestReadSetLevelL2Counterfactual(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRequesterWinsAcrossEngines pins the requester-wins rule on each of
+// the directory's conflict paths: the classic probe; a claim in the
+// core's directory slice (one shard, hyper-thread siblings, the line
+// private to their core); and a deferred probe replayed at the epoch
+// boundary (two shards, one thread per core, the line owned by the
+// aggressor's core). The victims take their claims, then the aggressor
+// conflicts: each victim must abort exactly once with a conflict on the
+// line blamed on the aggressor, the aggressor must not abort, and no
+// claim may outlive the run.
+func TestRequesterWinsAcrossEngines(t *testing.T) {
+	const addr, initial, written = 128, 7, 42
+	la := mem.LineAddr(addr)
+	engines := []struct {
+		name      string
+		shards    int
+		threads   int
+		victims   []int // readers in the write case; victims[0] is the writer otherwise
+		aggressor int
+		// rawLoader is the raw-load case's aggressor. On the slice engine
+		// it sits on another core: a raw load by the writer's sibling
+		// does not see a write claim in their core's slice (ROADMAP).
+		rawLoader int
+		warm      int  // its raw store sets the initial value, so its core owns the line
+		slice     bool // victims[0]'s claim lands in its core's directory slice
+	}{
+		{"classic", 0, 3, []int{0, 2}, 1, 1, 1, false},
+		{"slice", 1, 5, []int{0}, 4, 1, 0, true},
+		{"boundary", 2, 3, []int{0, 2}, 1, 1, 1, false},
+	}
+	cases := []struct {
+		name    string
+		readers bool // the victims read the line (else victims[0] writes it)
+		raw     bool // the aggressor is the engine's rawLoader
+		// aggress performs the aggressor's access and returns the value
+		// it read (0 for a write) and its abort, if any.
+		aggress func(sys *System, tx *Txn, p *sim.Proc) (int64, *Abort)
+		read    int64 // the aggressor's read value
+		final   int64 // the line's value after the run
+	}{
+		{"read-vs-write", false, false, func(sys *System, tx *Txn, p *sim.Proc) (int64, *Abort) {
+			var v int64
+			a := once(sys, tx, func() { v = tx.Load(addr) })
+			return v, a
+		}, initial, initial},
+		{"write-vs-readers", true, false, func(sys *System, tx *Txn, p *sim.Proc) (int64, *Abort) {
+			return 0, once(sys, tx, func() { tx.Store(addr, written) })
+		}, 0, written},
+		{"raw-load-vs-writer", false, true, func(sys *System, tx *Txn, p *sim.Proc) (int64, *Abort) {
+			return sys.RawLoad(p, addr), nil
+		}, initial, initial},
+	}
+	for _, eng := range engines {
+		for _, c := range cases {
+			t.Run(eng.name+"/"+c.name, func(t *testing.T) {
+				cfg := tinyCfg()
+				cfg.Shard = arch.Sharding{Shards: eng.shards}
+				h := mem.New(cfg)
+				sys := NewSystem(cfg, h, nil)
+				aborts := make([][]Abort, eng.threads)
+				sys.AbortHook = func(tid int, a Abort) { aborts[tid] = append(aborts[tid], a) }
+				victims, aggressor := eng.victims, eng.aggressor
+				if !c.readers {
+					victims = victims[:1]
+				}
+				if c.raw {
+					aggressor = eng.rawLoader
+				}
+				warmed, claimed := sim.NewBarrier(eng.threads), sim.NewBarrier(eng.threads)
+				delivered := make([]*Abort, eng.threads)
+				var read int64
+				var aggAbort *Abort
+				var inSlice bool
+				txs := make([]*Txn, eng.threads)
+				attach := func(p *sim.Proc) { txs[p.ID()] = sys.Attach(p) } // before any shard worker runs
+				sim.Run(cfg, h, eng.threads, 1, attach, func(p *sim.Proc) {
+					id := p.ID()
+					tx := txs[id]
+					if id == eng.warm {
+						sys.RawStore(p, addr, initial)
+					}
+					warmed.Wait(p)
+					switch {
+					case slices.Contains(victims, id):
+						delivered[id] = once(sys, tx, func() {
+							if c.readers {
+								tx.Load(addr)
+							} else {
+								tx.Store(addr, 100)
+							}
+							if id == victims[0] {
+								inSlice = sys.slices != nil && sys.slices[p.Core()].Len() != 0
+							}
+							claimed.Wait(p)
+							p.Work(20_000) // stay open across several epochs
+						})
+					case id == aggressor:
+						claimed.Wait(p)
+						read, aggAbort = c.aggress(sys, tx, p)
+					default:
+						claimed.Wait(p)
+					}
+				})
+				want := conflict(la, aggressor)
+				for _, v := range victims {
+					if len(aborts[v]) != 1 || aborts[v][0] != want {
+						t.Errorf("victim %d: hook saw %+v, want one %+v", v, aborts[v], want)
+					}
+					if delivered[v] == nil || *delivered[v] != want {
+						t.Errorf("victim %d: delivered %+v, want %+v", v, delivered[v], want)
+					}
+				}
+				if aggAbort != nil || len(aborts[aggressor]) != 0 {
+					t.Errorf("aggressor lost: %+v (hook %+v)", aggAbort, aborts[aggressor])
+				}
+				if read != c.read {
+					t.Errorf("aggressor read %d, want %d", read, c.read)
+				}
+				if got := h.Peek(addr); got != c.final {
+					t.Errorf("line = %d after the run, want %d", got, c.final)
+				}
+				if inSlice != eng.slice {
+					t.Errorf("victim claim in a directory slice = %v, want %v", inSlice, eng.slice)
+				}
+				if n := sys.ActiveLines(); n != 0 {
+					t.Errorf("%d lines still tracked after the run", n)
+				}
+			})
+		}
+	}
+}
+
+func TestNewSystemRejectsUntrackableThreads(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.Cores, cfg.ThreadsPerCore = 17, 2
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSystem accepted 34 hardware threads")
+		}
+	}()
+	NewSystem(cfg, mem.New(cfg), nil)
 }

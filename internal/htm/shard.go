@@ -25,8 +25,12 @@
 //     discard the redo buffer, drop own speculative cache lines — and
 //     defer the directory-claim releases and footprint recording to the
 //     boundary at the abort cycle, ordered before any retry's probes.
-//   - Remote kills (a probe, raw store or capacity eviction replayed at
-//     a boundary) go through the legacy abortTx, which is serial there.
+//   - Probes, slice claims and kills share one requester-wins routine
+//     with the classic engine (dir.go): claim, release and kill work on
+//     the global directory and the per-core slices alike. Their victims
+//     go through abort, which rolls back locally mid-phase (same-core
+//     slice conflicts) and through the serial abortTx at a boundary
+//     (replayed probes, raw stores, capacity evictions).
 //   - Non-transactional accesses keep strong atomicity: raw stores ride
 //     the engine's ShardRawStore hook (every buffered or parked plain
 //     store kills trackers of its line when it lands), and raw loads and
@@ -101,17 +105,6 @@ func (s *System) cntFor(p *sim.Proc) *perf.Set {
 	return s.Counters.For(p.ID(), p.ShardActive())
 }
 
-// abortSelf aborts tx from its own thread's context: locally during the
-// shard parallel phase, through the serial path everywhere else. The
-// caller delivers the panic.
-func (s *System) abortSelf(tx *Txn, a Abort) {
-	if tx.proc.ShardActive() {
-		tx.localAbort(a)
-		return
-	}
-	s.abortTx(tx, a)
-}
-
 // shardLoad is Txn.Load during the parallel phase: the conflict probe
 // either registers in the core's directory slice at once (lines the
 // frozen directory shows private to this core) or is deferred to the
@@ -180,8 +173,8 @@ func (t *Txn) shardStore(addr uint64, val int64) {
 //     are in flight, and those conflicts must replay in cycle order.
 //
 // Same-core conflicts resolve at claim time with the usual requester-wins
-// rule; the victims are same-shard state, so their local rollback is
-// race-free, exactly as in onL1Evict.
+// rule (claim); the victims are same-shard state, so their local
+// rollback is race-free, exactly as in onL1Evict.
 //
 //rtm:hot
 func (t *Txn) sliceClaim(la uint64, write bool) bool {
@@ -202,84 +195,20 @@ func (t *Txn) sliceClaim(la uint64, write bool) bool {
 			return false
 		}
 	}
-	sl := s.slices[core]
-	self := t.proc.ID()
-	e, fresh := sl.Upsert(la)
-	if fresh {
-		e.writer = -1
-	} else {
-		// Snapshot the entry: the victims' rollbacks mutate and may move
-		// it (backward-shift compaction on delete).
-		snap := *e
-		conflicted := false
-		if snap.writer >= 0 && int(snap.writer) != self {
-			conflicted = true
-			s.txs[snap.writer].localAbort(Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: self,
-			})
-		}
-		if write {
-			if readers := snap.readers &^ (1 << uint(self)); readers != 0 {
-				conflicted = true
-				for tid := 0; readers != 0; tid++ {
-					if readers&(1<<uint(tid)) != 0 {
-						readers &^= 1 << uint(tid)
-						s.txs[tid].localAbort(Abort{
-							Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-							ConflictLine: la, ByThread: self,
-						})
-					}
-				}
-			}
-		}
-		if conflicted {
-			if e, fresh = sl.Upsert(la); fresh {
-				e.writer = -1
-			}
-		}
-	}
-	if write {
-		e.writer = int8(self)
-	} else {
-		e.readers |= 1 << uint(self)
-	}
+	s.claim(s.slices[core], la, t.proc.ID(), write)
 	t.proc.ShardLocalClaim()
 	return true
 }
 
-// sliceRelease clears t's claim of the given kind on la in its core's
-// directory slice, reporting whether the claim was tracked there (claims
-// live in exactly one place: the slice or the global directory). Safe
-// mid-phase for same-shard transactions and in any serial context.
-//
-//rtm:hot
-func (t *Txn) sliceRelease(la uint64, write bool) bool {
-	s := t.sys
-	if s.slices == nil {
-		return false
+// slice returns the directory slice of t's core, or nil when slices are
+// off. A claim lives in exactly one place: there or in the global
+// directory. The slice is safe to use mid-phase for same-shard
+// transactions and in any serial context.
+func (t *Txn) slice() *lineset.Table[track] {
+	if t.sys.slices == nil {
+		return nil
 	}
-	sl := s.slices[t.proc.Core()]
-	e := sl.Ref(la)
-	if e == nil {
-		return false
-	}
-	tid := t.proc.ID()
-	if write {
-		if int(e.writer) != tid {
-			return false
-		}
-		e.writer = -1
-	} else {
-		if e.readers&(1<<uint(tid)) == 0 {
-			return false
-		}
-		e.readers &^= 1 << uint(tid)
-	}
-	if e.readers == 0 && e.writer < 0 {
-		sl.Delete(la)
-	}
-	return true
+	return t.sys.slices[t.proc.Core()]
 }
 
 // shardCommit runs at an epoch boundary (inside the transaction thread's
@@ -326,11 +255,12 @@ func (t *Txn) localAbort(a Abort) {
 		p.Defer(sim.ShardDef{Kind: sim.DefCustom, Op: opSetsAbort,
 			Addr: uint64(t.readSet.Len()), Val: int64(t.writeSet.Len())})
 	}
+	sl, self := t.slice(), p.ID()
 	t.readSet.Range(func(la uint64) bool {
 		// Slice-tracked claims are same-shard state: released right here,
 		// no boundary trip. Directory claims still need the cycle-ordered
 		// release.
-		if !t.sliceRelease(la, false) {
+		if sl == nil || !release(sl, la, self, false) {
 			p.Defer(sim.ShardDef{Kind: sim.DefCustom, Op: opReadRelease, Addr: la})
 		}
 		return true
@@ -341,7 +271,9 @@ func (t *Txn) localAbort(a Abort) {
 		// The boundary op is deferred even for slice-tracked write claims:
 		// its directory half degenerates to a no-op, but the shared-level
 		// invalidation of the speculative line must still happen there.
-		t.sliceRelease(la, true)
+		if sl != nil {
+			release(sl, la, self, true)
+		}
 		p.Defer(sim.ShardDef{Kind: sim.DefCustom, Op: opWriteRelease, Addr: la})
 		return true
 	})
@@ -364,106 +296,39 @@ func (t *Txn) localAbort(a Abort) {
 
 // shardApply replays the HTM layer's deferred operations at epoch
 // boundaries (installed as the engine's ShardApply hook).
-func (s *System) shardApply(p *sim.Proc, d *sim.ShardDef) bool {
-	if d.Kind != sim.DefCustom {
-		return false
-	}
+func (s *System) shardApply(p *sim.Proc, d *sim.ShardDef) {
 	self := p.ID()
 	t := s.txs[self]
 	switch d.Op {
-	case opReadProbe:
+	case opReadProbe, opWriteProbe:
 		if t == nil || !t.active || t.gen != d.Gen {
-			return true // the issuing attempt is gone; its probe is moot
+			return // the issuing attempt is gone; its probe is moot
 		}
 		la := d.Addr
-		if ep, ok := s.bwr.Get(la); ok && ep >= uint64(d.Val) {
-			// The line was boundary-written (a commit write-back or raw
-			// store) at or after the epoch whose frozen state this read
-			// captured mid-phase (d.Val, stamped at issue). The value the
-			// read returned missed that write even though the write's cycle
-			// orders before the read's — the classic engine would have
-			// returned the new value — so the only consistent outcome is a
-			// conflict abort. When issue and replay fall in the same epoch
-			// (the common, unskewed case) this reduces to "written earlier
-			// in this boundary". A load that parked instead reads live
-			// boundary state and cannot be stale, but its probe replays at
-			// its own issue epoch, where the test degenerates to the same
-			// same-boundary check as before.
-			s.abortTx(t, Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: -1,
-			})
-			return true
-		}
-		// A sibling's slice-tracked write claim conflicts like a directory
-		// one (its rollback can delete directory entries, so it happens
-		// before ours is established).
-		s.sliceKill(self, la, false)
-		e, fresh := s.dir.Upsert(la)
-		if fresh {
-			e.writer = -1
-		} else if e.writer >= 0 && int(e.writer) != self {
-			// Requester wins; the victim's rollback can move our entry
-			// (backward-shift compaction), so re-establish it.
-			s.abortTx(s.txs[e.writer], Abort{
-				Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-				ConflictLine: la, ByThread: self,
-			})
-			if e, fresh = s.dir.Upsert(la); fresh {
-				e.writer = -1
+		write := d.Op == opWriteProbe
+		if !write {
+			if ep, ok := s.bwr.Get(la); ok && ep >= uint64(d.Val) {
+				// The line was boundary-written (a commit write-back or raw
+				// store) at or after the epoch whose frozen state this read
+				// captured mid-phase (d.Val, stamped at issue). The value the
+				// read returned missed that write even though the write's cycle
+				// orders before the read's — the classic engine would have
+				// returned the new value — so the only consistent outcome is a
+				// conflict abort. When issue and replay fall in the same epoch
+				// (the common, unskewed case) this reduces to "written earlier
+				// in this boundary". A load that parked instead reads live
+				// boundary state and cannot be stale, but its probe replays at
+				// its own issue epoch, where the test degenerates to the same
+				// same-boundary check as before.
+				s.abort(t, conflict(la, -1))
+				return
 			}
 		}
-		e.readers |= 1 << uint(self)
-	case opWriteProbe:
-		if t == nil || !t.active || t.gen != d.Gen {
-			return true
-		}
-		la := d.Addr
-		s.sliceKill(self, la, true)
-		e, fresh := s.dir.Upsert(la)
-		if !fresh {
-			snap := *e
-			conflicted := false
-			if snap.writer >= 0 && int(snap.writer) != self {
-				conflicted = true
-				s.abortTx(s.txs[snap.writer], Abort{
-					Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-					ConflictLine: la, ByThread: self,
-				})
-			}
-			if readers := snap.readers &^ (1 << uint(self)); readers != 0 {
-				conflicted = true
-				for tid := 0; readers != 0; tid++ {
-					if readers&(1<<uint(tid)) != 0 {
-						readers &^= 1 << uint(tid)
-						s.abortTx(s.txs[tid], Abort{
-							Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-							ConflictLine: la, ByThread: self,
-						})
-					}
-				}
-			}
-			if conflicted {
-				e, _ = s.dir.Upsert(la)
-			}
-		}
-		e.writer = int8(self)
+		s.claim(s.dir, la, self, write)
 	case opReadRelease:
-		if e := s.dir.Ref(d.Addr); e != nil {
-			e.readers &^= 1 << uint(self)
-			if e.readers == 0 && e.writer < 0 {
-				s.dir.Delete(d.Addr)
-			}
-		}
+		release(s.dir, d.Addr, self, false)
 	case opWriteRelease:
-		if e := s.dir.Ref(d.Addr); e != nil {
-			if int(e.writer) == self {
-				e.writer = -1
-			}
-			if e.readers == 0 && e.writer < 0 {
-				s.dir.Delete(d.Addr)
-			}
-		}
+		release(s.dir, d.Addr, self, true)
 		// Speculative lines are invalidated on abort (loss of locality);
 		// the private-cache half already happened at abort time.
 		s.h.Drop(p.Core(), d.Addr)
@@ -472,7 +337,6 @@ func (s *System) shardApply(p *sim.Proc, d *sim.ShardDef) bool {
 			rec.HTMSetsAtAbort(int(d.Addr), int(d.Val))
 		}
 	}
-	return true
 }
 
 // shardRawStore is the engine's ShardRawStore hook: every plain store
@@ -481,7 +345,7 @@ func (s *System) shardApply(p *sim.Proc, d *sim.ShardDef) bool {
 func (s *System) shardRawStore(p *sim.Proc, addr uint64) {
 	la := mem.LineAddr(addr)
 	if s.dir.Len() != 0 || s.slices != nil {
-		s.killTrackers(p.ID(), la)
+		s.kill(la, p.ID(), true, false)
 	}
 	s.bwr.Put(la, p.ShardEpoch())
 }
@@ -493,13 +357,7 @@ func (s *System) shardRawLoadSlow(t *Txn) {
 	p := t.proc
 	addr := t.rawAddr
 	la := mem.LineAddr(addr)
-	s.sliceKill(p.ID(), la, false)
-	if e, ok := s.dir.Get(la); ok && e.writer >= 0 && int(e.writer) != p.ID() {
-		s.abortTx(s.txs[e.writer], Abort{
-			Status: StatusConflict | StatusRetry, Cause: CauseConflict,
-			ConflictLine: la, ByThread: p.ID(),
-		})
-	}
+	s.kill(la, p.ID(), false, false)
 	t.rawRet = p.Load(addr)
 }
 
@@ -511,7 +369,7 @@ func (s *System) shardRawRMWSlow(t *Txn) {
 	la := mem.LineAddr(addr)
 	p.AddCycles(s.cfg.Lat.AtomicRMW)
 	p.StoreTiming(addr)
-	s.killTrackers(p.ID(), la)
+	s.kill(la, p.ID(), true, false)
 	old := s.h.Peek(addr)
 	s.h.Poke(addr, t.rawF(old))
 	s.bwr.Put(la, p.ShardEpoch())

@@ -145,8 +145,8 @@ type RecorderJSON struct {
 // when there is more than one), so cross-point totals don't have to be
 // re-derived downstream.
 type MetricsJSON struct {
-	Schema     string         `json:"schema"`
-	Experiment string         `json:"experiment"`
+	Schema     string `json:"schema"`
+	Experiment string `json:"experiment"`
 	// STMProtocol names the software-TM protocol of the run when it is
 	// not the default ("tl2", "norec") so sidecars from protocol-matrix
 	// runs are self-describing; absent for tinystm/default runs, which

@@ -300,9 +300,8 @@ type Engine struct {
 
 	// ShardApply, if non-nil, receives DefCustom deferred operations at
 	// shard epoch boundaries. The HTM layer installs it to replay
-	// conflict-directory probes and abort cleanups. Return true if the
-	// operation was handled.
-	ShardApply func(p *Proc, d *ShardDef) bool
+	// conflict-directory probes and abort cleanups.
+	ShardApply func(p *Proc, d *ShardDef)
 
 	// ShardRawStore, if non-nil, runs immediately before a plain
 	// (non-transactional) store lands at a shard epoch boundary — both

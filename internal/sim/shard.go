@@ -42,12 +42,10 @@ import (
 
 // Deferred-operation kinds (ShardDef.Kind).
 const (
-	// DefFn calls the pre-bound closure Fn.
-	DefFn uint8 = iota
 	// DefStore applies a buffered plain store (Addr, Val). The engine's
 	// ShardRawStore hook runs first so the HTM layer can perform
 	// strong-atomicity conflict kills before the write lands.
-	DefStore
+	DefStore uint8 = iota
 	// DefTouch performs the deferred cache work of an overlapped load
 	// whose latency was already charged (STM lock-array reads).
 	DefTouch
@@ -82,7 +80,6 @@ type ShardDef struct {
 	Val  int64
 	Name string
 	Ev   obs.Event
-	Fn   func()
 }
 
 // Cycle returns the simulated cycle at which the operation was issued.
@@ -354,7 +351,7 @@ func (se *shardEngine) boundary() {
 		if n := se.heads[i].lim; n > 0 {
 			rem := copy(ps.defs, ps.defs[n:])
 			for j := rem; j < len(ps.defs); j++ {
-				ps.defs[j] = ShardDef{} // release Fn/Name referents
+				ps.defs[j] = ShardDef{} // release Name/Ev referents
 			}
 			ps.defs = ps.defs[:rem]
 		}
@@ -423,8 +420,6 @@ func (se *shardEngine) applyDef(p *Proc, d *ShardDef) {
 	h := se.e.H
 	h.Now = d.cycle
 	switch d.Kind {
-	case DefFn:
-		d.Fn()
 	case DefStore:
 		if f := se.e.ShardRawStore; f != nil {
 			f(p, d.Addr)
@@ -545,17 +540,6 @@ func (p *Proc) ShardActive() bool {
 func (p *Proc) Exclusive(fn func()) {
 	if p.ShardActive() {
 		p.shardParkOp(pExcl, 0, 0, fn)
-		return
-	}
-	fn()
-}
-
-// DeferFn schedules fn to run at the next epoch boundary in (cycle,
-// thread) order; under the classic engine it runs inline. Unlike
-// Exclusive the thread does not wait.
-func (p *Proc) DeferFn(fn func()) {
-	if p.ShardActive() {
-		p.pushDef(ShardDef{Kind: DefFn, Fn: fn})
 		return
 	}
 	fn()

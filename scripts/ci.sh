@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every tracked Go file must be gofmt-clean, except the rtmvet fixtures
+# under testdata/: their diagnostics are pinned by line and column.
+unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists:"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "== rtmvet (project invariants) =="
 # Project-specific static analysis: determinism in simulator packages,
 # allocation-free //rtm:hot functions, nil-guarded recorder calls,
