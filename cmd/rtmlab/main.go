@@ -97,6 +97,7 @@ func main() {
 			ec = arch.DefaultEpochCycles
 		}
 		o.Obs.SetRunConfig(*shards, ec, o.STMProtocol)
+		o.Obs.SetFlags(obs.FlagValues(flag.CommandLine))
 	}
 	switch *scale {
 	case "test":

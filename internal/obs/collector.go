@@ -29,6 +29,8 @@ type Collector struct {
 	shards      int
 	epochCycles uint64
 	stmProtocol string
+	// flags is the producing command's full flag set (see SetFlags).
+	flags map[string]string
 }
 
 // SetRunConfig records the run configuration so the sidecars are
@@ -42,6 +44,10 @@ func (c *Collector) SetRunConfig(shards int, epochCycles uint64, stmProtocol str
 	c.epochCycles = epochCycles
 	c.stmProtocol = stmProtocol
 }
+
+// SetFlags records the producing command's full flag set, name to
+// value, for the timing sidecars' provenance.
+func (c *Collector) SetFlags(flags map[string]string) { c.flags = flags }
 
 // NewCollector returns a collector whose recorders keep at most limit
 // events per track.

@@ -319,16 +319,18 @@ type TimingJSON struct {
 }
 
 // TimingDoc is one experiment's timing sidecar document. The engine
-// configuration (shards, effective epoch length) is embedded
-// because host wall-clock depends on it: a timing sidecar that does not
-// say what engine produced it cannot be compared across runs.
+// configuration (shards, effective epoch length) and the provenance
+// (build, host, flags) are embedded because host wall-clock depends on
+// them: a timing sidecar that does not say what produced it cannot be
+// compared across runs.
 type TimingDoc struct {
-	Schema      string       `json:"schema"`
-	Experiment  string       `json:"experiment"`
-	Shards      int          `json:"shards,omitempty"`
-	EpochCycles uint64       `json:"epoch_cycles,omitempty"`
-	STMProtocol string       `json:"stm_protocol,omitempty"`
-	Points      []TimingJSON `json:"points"`
+	Schema      string `json:"schema"`
+	Experiment  string `json:"experiment"`
+	Shards      int    `json:"shards,omitempty"`
+	EpochCycles uint64 `json:"epoch_cycles,omitempty"`
+	STMProtocol string `json:"stm_protocol,omitempty"`
+	Provenance
+	Points []TimingJSON `json:"points"`
 }
 
 // expGroup is one experiment scope's recorders in merge order.
@@ -435,6 +437,8 @@ func (c *Collector) WriteMetrics(dir string) error {
 			td.Shards = c.shards
 			td.EpochCycles = c.epochCycles
 			td.STMProtocol = c.stmProtocol
+			td.Provenance = HostProvenance()
+			td.Flags = c.flags
 			data, err := json.MarshalIndent(td, "", "  ")
 			if err != nil {
 				return err

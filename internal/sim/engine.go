@@ -309,6 +309,11 @@ type Engine struct {
 	// installs it to kill transactions tracking the line (strong
 	// atomicity).
 	ShardRawStore func(p *Proc, addr uint64)
+
+	// wakes counts shard worker goroutines woken for a parallel phase
+	// (read by tests): the coordinator runs one shard itself and never
+	// wakes an idle worker.
+	wakes uint64
 }
 
 // Result summarises a parallel region.

@@ -3,8 +3,9 @@
 // The classic engine (engine.go) interleaves simulated threads serially
 // under a min-clock scheduler. The sharded engine instead partitions the
 // physical cores into contiguous shards, runs each shard's threads (as
-// coroutines) on a real goroutine worker, and quantizes simulated time
-// into coherence epochs of Cfg.Shard.Epoch() cycles:
+// coroutines) on a real goroutine worker (the coordinator runs the lowest
+// shard with work itself), and quantizes simulated time into coherence
+// epochs of Cfg.Shard.Epoch() cycles:
 //
 //   - Parallel phase: every shard runs its threads (one at a time, in
 //     thread-id order) against frozen shared state. Operations served
@@ -49,8 +50,8 @@ const (
 	// DefTouch performs the deferred cache work of an overlapped load
 	// whose latency was already charged (STM lock-array reads).
 	DefTouch
-	// DefMemEvent replays a recorder cache event (Ev holds core in Aux,
-	// line in Arg).
+	// DefMemEvent replays a recorder cache event (the payload event holds
+	// core in Aux, line in Arg).
 	DefMemEvent
 	// DefEvent replays a recorder thread-track event (Proc.RecordEvent).
 	DefEvent
@@ -65,21 +66,29 @@ const (
 )
 
 // ShardDef is one deferred operation, logged during the parallel phase
-// and applied at the epoch boundary.
+// and applied at the epoch boundary. It holds no pointers, so a log is
+// never scanned by the GC: the recorder payload of a DefEvent,
+// DefMemEvent or DefCounter record lives in its thread's side array, at
+// index Addr.
 type ShardDef struct {
 	cycle uint64
 	seq   uint64
+	Addr  uint64
+	Val   int64
 	// Kind selects the boundary action; Op and Gen are free payload for
 	// DefCustom layers (the HTM layer uses Op as a sub-kind and Gen as a
 	// transaction-attempt guard so operations deferred by a dead attempt
 	// are skipped).
+	Gen  uint32
 	Kind uint8
 	Op   uint8
-	Gen  uint32
-	Addr uint64
-	Val  int64
-	Name string
-	Ev   obs.Event
+}
+
+// defPayload is the recorder payload of a DefEvent or DefMemEvent (ev)
+// or DefCounter (name) record.
+type defPayload struct {
+	ev   obs.Event
+	name string
 }
 
 // Cycle returns the simulated cycle at which the operation was issued.
@@ -113,7 +122,10 @@ type procShard struct {
 	// but not yet applied at a boundary, so its own later reads see them
 	// (the backing store is frozen mid-epoch).
 	wbuf *lineset.Table[int64]
+	// defs is the deferred-op log still to replay; side holds the
+	// recorder payloads its records index.
 	defs []ShardDef
+	side []defPayload
 	seq  uint64
 
 	status  uint8
@@ -137,20 +149,26 @@ type procShard struct {
 	finishFn func()
 }
 
+// shardWorker runs one shard's threads through each parallel phase.
 type shardWorker struct {
 	se    *shardEngine
 	procs []*Proc
-	wake  chan struct{}
+	wake  chan struct{} // nil for shard 0, which only the coordinator runs
+	// panicVal is a thread body's panic that ended this shard's phase;
+	// the coordinator re-raises it to Run's caller.
+	panicVal any
 }
 
 type shardEngine struct {
 	e        *Engine
 	epochLen uint64
 	end      uint64 // current epoch end (exclusive)
-	workers  []*shardWorker
-	done     chan struct{}
-	heads    []mergeHead // boundary merge cursors, one per proc
-	epochs   uint64
+	// workers[0] is shard 0; the rest are the other shards that own a
+	// thread, each with its own goroutine.
+	workers []*shardWorker
+	done    chan struct{}
+	heads   []mergeHead // boundary merge cursors, one per proc
+	epochs  uint64
 	// boundaryOps counts operations replayed serially at boundaries (the
 	// serial fraction's numerator, exported as sim:boundary.ops).
 	boundaryOps uint64
@@ -202,15 +220,13 @@ func newShardEngine(e *Engine) *shardEngine {
 	}
 	e.H.InitShard()
 	se.end = se.epochLen
-	for i := 0; i < nw; i++ {
-		se.workers = append(se.workers, &shardWorker{
-			se:   se,
-			wake: make(chan struct{}, 1),
-		})
+	shards := make([]*shardWorker, nw)
+	for i := range shards {
+		shards[i] = &shardWorker{se: se}
 	}
 	for _, p := range e.procs {
 		p := p
-		sw := se.workers[p.core*nw/cfg.Cores]
+		sw := shards[p.core*nw/cfg.Cores]
 		p.sh = &procShard{
 			w:    sw,
 			view: e.H.Mem().NewView(),
@@ -222,34 +238,68 @@ func newShardEngine(e *Engine) *shardEngine {
 		}
 		sw.procs = append(sw.procs, p)
 	}
+	// Shard 0 runs on the coordinator; a goroutine is started only for
+	// every other shard that owns a thread.
+	se.workers = append(se.workers, shards[0])
+	for _, sw := range shards[1:] {
+		if len(sw.procs) > 0 {
+			sw.wake = make(chan struct{}, 1)
+			se.workers = append(se.workers, sw)
+		}
+	}
 	return se
 }
 
 // run executes the region: parallel epochs alternating with serial
-// boundaries until every thread's body has returned.
+// boundaries until every thread's body has returned. Only shards with a
+// thread to run take part in a phase: the coordinator runs the lowest of
+// them itself (shard 0 whenever it has work) and wakes the workers of the
+// rest. A body panic ends its shard's phase; once every woken worker is
+// back, the panic of the lowest shard is re-raised to Run's caller.
 func (se *shardEngine) run() {
 	e := se.e
-	for _, w := range se.workers {
+	others := se.workers[1:]
+	for _, w := range others {
 		go w.loop()
 	}
+	defer func() {
+		for _, w := range others {
+			close(w.wake)
+		}
+	}()
 	for {
 		se.epochs++
 		e.shardParallel = true
+		var own *shardWorker
+		woken := 0
 		for _, w := range se.workers {
-			w.wake <- struct{}{}
+			switch {
+			case !w.runnable(se.end):
+			case own == nil:
+				own = w
+			default:
+				w.wake <- struct{}{}
+				woken++
+			}
 		}
-		for range se.workers {
+		e.wakes += uint64(woken)
+		if own != nil {
+			own.phase()
+		}
+		for ; woken > 0; woken-- {
 			<-se.done
 		}
 		e.shardParallel = false
+		for _, w := range se.workers {
+			if v := w.panicVal; v != nil {
+				panic(v)
+			}
+		}
 		if se.allDone() {
 			break
 		}
 		se.boundary()
 		se.advance()
-	}
-	for _, w := range se.workers {
-		close(w.wake)
 	}
 }
 
@@ -262,14 +312,35 @@ func (se *shardEngine) allDone() bool {
 	return true
 }
 
+// runnable reports whether one of the shard's threads can run before end.
+func (w *shardWorker) runnable(end uint64) bool {
+	for _, p := range w.procs {
+		if p.sh.status == shRun && p.clock < end {
+			return true
+		}
+	}
+	return false
+}
+
+// phase runs the shard's threads, one at a time in thread-id order, up
+// to the epoch end. A body panic stops the phase and is kept in panicVal.
+func (w *shardWorker) phase() {
+	defer func() {
+		if v := recover(); v != nil {
+			w.panicVal = v
+		}
+	}()
+	end := w.se.end
+	for _, p := range w.procs {
+		for p.sh.status == shRun && p.clock < end {
+			p.resume()
+		}
+	}
+}
+
 func (w *shardWorker) loop() {
 	for range w.wake {
-		end := w.se.end
-		for _, p := range w.procs {
-			for p.sh.status == shRun && p.clock < end {
-				p.resume()
-			}
-		}
+		w.phase()
 		w.se.done <- struct{}{}
 	}
 }
@@ -279,10 +350,10 @@ func (w *shardWorker) loop() {
 // with d == nil). A proc's def log is (cycle, seq)-sorted and its parked
 // op was issued after all of it, so the order is a k-way merge of the
 // logs' heads with cycle ties going to the lowest thread id. heads holds
-// one cursor per proc; afterwards heads[i].lim is how many of proc i's
-// defs were visited. The cut is taken before the first visit, so ops a
-// visit issues or unparks wait for a later merge. Returns the number of
-// ops visited.
+// one cursor per proc; afterwards heads[i].lim is the number of proc i's
+// defs visited. The cut is taken before the first
+// visit, so ops a visit issues or unparks wait for a later merge.
+// Returns the number of ops visited.
 func mergeOps(procs []*Proc, heads []mergeHead, end uint64, visit func(p *Proc, d *ShardDef)) uint64 {
 	var n uint64
 	for i, p := range procs {
@@ -343,21 +414,8 @@ func (se *shardEngine) boundary() {
 	// The ownership deltas are in the live directory now; the next epoch's
 	// classifier tables seed afresh from the frozen state.
 	e.H.ShardEpochReset()
-	// Consume the applied prefix of each def log; once a thread's log is
-	// drained its buffered stores are all in the backing store and the
-	// write buffer can be cleared.
 	for i, p := range e.procs {
-		ps := p.sh
-		if n := se.heads[i].lim; n > 0 {
-			rem := copy(ps.defs, ps.defs[n:])
-			for j := rem; j < len(ps.defs); j++ {
-				ps.defs[j] = ShardDef{} // release Name/Ev referents
-			}
-			ps.defs = ps.defs[:rem]
-		}
-		if len(ps.defs) == 0 && ps.wbuf.Len() != 0 {
-			ps.wbuf.Clear()
-		}
+		p.sh.consume(se.heads[i].lim)
 	}
 	if e.remaining == 0 {
 		se.flushRemaining()
@@ -369,14 +427,47 @@ func (se *shardEngine) boundary() {
 // the final epoch are not lost.
 func (se *shardEngine) flushRemaining() {
 	se.boundaryOps += mergeOps(se.e.procs, se.heads, ^uint64(0), se.replay)
-	for _, p := range se.e.procs {
-		ps := p.sh
-		for i := range ps.defs {
-			ps.defs[i] = ShardDef{}
-		}
-		ps.defs = ps.defs[:0]
-		ps.wbuf.Clear()
+	for i, p := range se.e.procs {
+		p.sh.consume(se.heads[i].lim)
 	}
+}
+
+// consume drops the first n defs of the log, the ones a boundary
+// replayed. A drained log resets in place, with its side array; its
+// buffered stores are all in the backing store then, so the write buffer
+// is cleared too. Otherwise the defs issued at or after the epoch end
+// move to the front, with the side payloads they index.
+func (ps *procShard) consume(n int) {
+	switch {
+	case n == len(ps.defs):
+		ps.defs, ps.side = ps.defs[:0], ps.side[:0]
+		if ps.wbuf.Len() != 0 {
+			ps.wbuf.Clear()
+		}
+		return
+	case n == 0:
+		return
+	}
+	ps.defs = ps.defs[:copy(ps.defs, ps.defs[n:])]
+	base := -1
+	for i := range ps.defs {
+		if d := &ps.defs[i]; d.hasPayload() {
+			if base < 0 {
+				base = int(d.Addr)
+			}
+			d.Addr -= uint64(base)
+		}
+	}
+	if base < 0 {
+		ps.side = ps.side[:0]
+		return
+	}
+	ps.side = ps.side[:copy(ps.side, ps.side[base:])]
+}
+
+// hasPayload reports whether d indexes its thread's side array.
+func (d *ShardDef) hasPayload() bool {
+	return d.Kind == DefEvent || d.Kind == DefMemEvent || d.Kind == DefCounter
 }
 
 // replay executes one op at the boundary: the deferred op d, or p's
@@ -435,15 +526,16 @@ func (se *shardEngine) applyDef(p *Proc, d *ShardDef) {
 		h.Touch(p.core, d.Addr)
 	case DefMemEvent:
 		if rec := h.Rec; rec != nil {
-			rec.MemEvent(int(d.Ev.Aux), d.Ev.Cycle, d.Ev.Kind, d.Ev.Arg)
+			ev := &p.sh.side[d.Addr].ev
+			rec.MemEvent(int(ev.Aux), ev.Cycle, ev.Kind, ev.Arg)
 		}
 	case DefEvent:
 		if rec := h.Rec; rec != nil {
-			rec.Record(p.id, &d.Ev)
+			rec.Record(p.id, &p.sh.side[d.Addr].ev)
 		}
 	case DefCounter:
 		if rec := h.Rec; rec != nil {
-			rec.Add(d.Name, uint64(d.Val))
+			rec.Add(p.sh.side[d.Addr].name, uint64(d.Val))
 		}
 	}
 }
@@ -565,7 +657,7 @@ func (p *Proc) RecordEvent(ev obs.Event) {
 
 func (p *Proc) recordEvent(ev *obs.Event) {
 	if p.ShardActive() {
-		p.pushDef(ShardDef{Kind: DefEvent, Ev: *ev})
+		p.pushPayload(DefEvent, 0, defPayload{ev: *ev})
 	} else if rec := p.eng.H.Rec; rec != nil {
 		rec.Record(p.id, ev)
 	}
@@ -579,7 +671,7 @@ func (p *Proc) RecordCounter(name string, n uint64) {
 		return
 	}
 	if p.ShardActive() {
-		p.pushDef(ShardDef{Kind: DefCounter, Name: name, Val: int64(n)})
+		p.pushPayload(DefCounter, int64(n), defPayload{name: name})
 		return
 	}
 	rec.Add(name, n)
@@ -588,7 +680,7 @@ func (p *Proc) RecordCounter(name string, n uint64) {
 // DeferMemEvent implements mem.ShardSink: recorder traffic from
 // shard-local cache fills is buffered and replayed at the boundary.
 func (p *Proc) DeferMemEvent(core int, kind obs.Kind, lineAddr uint64) {
-	p.pushDef(ShardDef{Kind: DefMemEvent, Ev: obs.Event{
+	p.pushPayload(DefMemEvent, 0, defPayload{ev: obs.Event{
 		Cycle: p.clock, Arg: lineAddr, Site: -1, Aux: int32(core), Kind: kind,
 	}})
 }
@@ -609,6 +701,14 @@ func (p *Proc) pushDef(d ShardDef) {
 	d.seq = ps.seq
 	ps.seq++
 	ps.defs = append(ps.defs, d)
+}
+
+// pushPayload logs a recorder record of the given kind whose payload
+// goes to the side array.
+func (p *Proc) pushPayload(kind uint8, val int64, pl defPayload) {
+	ps := p.sh
+	ps.side = append(ps.side, pl)
+	p.pushDef(ShardDef{Kind: kind, Addr: uint64(len(ps.side) - 1), Val: val})
 }
 
 // PeekShared returns the current value of addr without timing effects,

@@ -68,11 +68,14 @@ echo "== sharded engine smoke (traced -shards 4 + output invariance) =="
 # sharded-engine counters (epochs, parks/epoch, serial fraction —
 # tracecheck -sharded), and the experiment tables must be byte-identical
 # across shard counts (the engine's core guarantee; only the
-# .timing.json sidecar may differ).
+# .timing.json sidecar may differ). -shards 2 is rtmbench's setting:
+# the coordinator runs shard 0 and wakes one worker.
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 4 -trace "$obsdir/trace4.json" -metrics "$obsdir/metrics4" table4 > "$obsdir/out4.txt"
 go run ./cmd/tracecheck -metrics "$obsdir/metrics4/table4.json" -sharded "$obsdir/trace4.json"
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 1 -j 1 table4 > "$obsdir/out1.txt"
+go run ./cmd/rtmlab -scale test -seeds 1 -shards 2 -j 1 table4 > "$obsdir/out2.txt"
 cmp "$obsdir/out1.txt" "$obsdir/out4.txt"
+cmp "$obsdir/out1.txt" "$obsdir/out2.txt"
 
 echo "== flag validation =="
 # -epoch-cycles configures the sharded engine only; without -shards it
