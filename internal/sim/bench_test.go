@@ -26,15 +26,29 @@ func BenchmarkYieldFastPath(b *testing.B) {
 }
 
 // BenchmarkYieldHandoff measures the slow path: two threads with
-// identical costs alternate on every operation, so each yield is a full
-// replace-min plus two coroutine switches: out to Run's loop, then into
-// the other thread.
+// identical costs alternate on every operation, so each yield is a
+// replace-min plus one coroutine switch, a resume of the other thread
+// or a suspend down to it (see Proc.handoff). One op is two handoffs,
+// one per thread.
 func BenchmarkYieldHandoff(b *testing.B) {
+	benchmarkRotation(b, 2)
+}
+
+// BenchmarkYieldHandoff4 is the chain-unwind case: four threads with
+// identical costs rotate, so threads 0-2 each resume the next and
+// thread 3 suspends down the resume chain to thread 0, 1.5 coroutine
+// switches per handoff. One op is four handoffs, one per thread.
+func BenchmarkYieldHandoff4(b *testing.B) {
+	benchmarkRotation(b, 4)
+}
+
+// benchmarkRotation runs n threads of b.N equal-cost ops each.
+func benchmarkRotation(b *testing.B, n int) {
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
-	Run(cfg, h, 2, 1, nil, func(p *Proc) {
+	Run(cfg, h, n, 1, nil, func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Work(1)
 		}

@@ -11,8 +11,11 @@ import "iter"
 
 // pull makes body a coroutine (see iter.Pull). resume runs it until it
 // calls suspend or returns; a switch in either direction is a direct
-// coroutine switch that bypasses the Go scheduler's run queues. suspend
-// returns false only after stop, which the engines never call.
+// coroutine switch that bypasses the Go scheduler's run queues. resume
+// may be called from inside another coroutine, and suspend then returns
+// there; a coroutine must not be resumed while it is itself waiting in
+// a resume. suspend returns false only after stop, which the engines
+// never call.
 func pull(body func(suspend func(struct{}) bool)) (resume func() (struct{}, bool), stop func()) {
 	return iter.Pull(iter.Seq[struct{}](body))
 }

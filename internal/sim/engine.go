@@ -18,15 +18,6 @@ import (
 // PauseCycles is the cost of a PAUSE (spin-wait hint) instruction.
 const PauseCycles = 10
 
-type procState uint8
-
-const (
-	stateRunnable procState = iota
-	stateRunning
-	stateBlocked
-	stateDone
-)
-
 // Proc is one simulated hardware thread. All methods must be called from
 // the thread's body, which runs in its own coroutine (see pull), or
 // inline on Run's caller for a single-thread classic region.
@@ -35,8 +26,12 @@ type Proc struct {
 	core  int
 	clock uint64
 	instr uint64
-	state procState
 	eng   *Engine
+
+	// nested is true while the thread waits inside the resume of a
+	// thread it handed off to, i.e. while it sits on the resume chain
+	// below the running thread (see handoff).
+	nested bool
 
 	// sh is the per-thread state of the epoch-synchronized sharded
 	// engine (shard.go); nil under the classic min-clock engine.
@@ -216,10 +211,9 @@ func (p *Proc) yield() {
 	// The ordering check guarantees heap[0] stays the minimum even with p
 	// included, so a single replace-at-root (one sift-down) stands in for
 	// the push+pop pair.
-	p.state = stateRunnable
 	e.switches++
 	e.next = e.replaceMin(p)
-	p.park()
+	p.handoff()
 }
 
 // less orders procs by (clock, id).
@@ -233,15 +227,42 @@ func (p *Proc) less(q *Proc) bool {
 // block parks the thread until another thread unblocks it (see Barrier).
 func (p *Proc) block() {
 	e := p.eng
-	p.state = stateBlocked
 	e.switches++
 	if e.next = e.pop(); e.next == nil {
 		panic(fmt.Sprintf("sim: deadlock: thread %d blocked with no runnable threads", p.id))
 	}
-	p.park()
+	p.handoff()
 }
 
-// park suspends the thread's coroutine until its engine resumes it.
+// handoff runs the thread the scheduler picked (e.next) until the
+// scheduler picks p again. Threads resume one another directly, so the
+// classic engine's coroutines form a resume chain: Run's loop resumed
+// the bottom thread, every thread on the chain waits inside the resume
+// of the one above it, and only the top one runs. A pick off the chain
+// is resumed from here, one coroutine switch, and p joins the chain. A
+// pick on the chain sits below p and cannot be resumed again, so p
+// suspends to the thread that resumed it, which runs this loop in turn:
+// every thread above the pick suspends down to it, one switch each.
+// When a thread p resumed finishes, its coroutine returns here and the
+// loop goes on with finish's pick. A body panic leaves every resume on
+// the chain and reaches Run's caller.
+//
+//rtm:hot
+func (p *Proc) handoff() {
+	e := p.eng
+	for q := e.next; q != p; q = e.next {
+		e.coroSwitches++
+		if q.nested {
+			p.park()
+		} else {
+			p.nested = true
+			q.resume()
+			p.nested = false
+		}
+	}
+}
+
+// park suspends the thread's coroutine to the one that resumed it.
 func (p *Proc) park() {
 	if !p.suspend(struct{}{}) {
 		panic("sim: thread coroutine stopped while suspended")
@@ -250,19 +271,18 @@ func (p *Proc) park() {
 
 // unblock makes q runnable again (caller must be the running proc).
 func (p *Proc) unblock(q *Proc) {
-	q.state = stateRunnable
 	p.eng.push(q)
 }
 
 // finish marks the thread done and picks the next thread to run; the
-// body's coroutine then returns.
+// body's coroutine then returns to the thread (or Run's loop) that
+// resumed it.
 func (p *Proc) finish() {
 	if p.sh != nil {
 		p.shardFinish()
 		return
 	}
 	e := p.eng
-	p.state = stateDone
 	e.coreLive[p.core]--
 	e.remaining--
 	if e.next = e.pop(); e.next == nil && e.remaining > 0 {
@@ -291,6 +311,11 @@ type Engine struct {
 	// switches counts scheduler handoffs (yield slow path + blocks;
 	// in shard mode: thread parks).
 	switches uint64
+
+	// coroSwitches counts the coroutine switches the classic engine's
+	// handoffs make, resumes and suspends alike (read by tests; never
+	// recorded).
+	coroSwitches uint64
 
 	// shardParallel is true while shard workers execute the parallel
 	// phase of an epoch (shared state frozen). It is toggled only by the
@@ -387,9 +412,7 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 		// on the caller's goroutine, skipping the coroutines and handoffs
 		// entirely. Every op's yield takes the e.single fast path.
 		p := e.procs[0]
-		p.state = stateRunning
 		body(p)
-		p.state = stateDone
 		e.coreLive[p.core]--
 		e.remaining--
 	} else {
@@ -407,15 +430,16 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 				e.switches += p.sh.parks
 			}
 		} else {
-			// Every thread but the first starts in the heap; the loop
-			// resumes whichever thread the last one to suspend picked. A
-			// panic in a body (a deadlock, say) leaves resume and reaches
-			// Run's caller; the other threads stay suspended.
+			// Every thread but the first starts in the heap. The loop
+			// resumes the bottom of the resume chain (see handoff): thread
+			// 0 first, then, each time the bottom thread finishes,
+			// finish's pick. A panic in a body (a deadlock, say) leaves
+			// resume and reaches Run's caller; the other threads stay
+			// suspended.
 			for i := n - 1; i >= 1; i-- {
 				e.push(e.procs[i])
 			}
 			for next := e.procs[0]; next != nil; next = e.next {
-				next.state = stateRunning
 				next.resume()
 			}
 		}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
+	"rtmlab/internal/obs"
 )
 
 func run(t *testing.T, n int, seed uint64, body func(*Proc)) Result {
@@ -321,6 +323,16 @@ func TestDeadlockPanicsOutOfRun(t *testing.T) {
 		run(t, n, 1, body)
 		return nil
 	}
+	// onChain reports whether threads 0..tid-1 wait on the resume chain
+	// below the running thread tid.
+	onChain := func(p *Proc) bool {
+		for _, q := range p.eng.procs[:p.ID()] {
+			if !q.nested {
+				return false
+			}
+		}
+		return !p.nested
+	}
 	b := NewBarrier(3)
 	v := runRecover(2, func(p *Proc) { b.Wait(p) })
 	if s, ok := v.(string); !ok || !strings.HasPrefix(s, "sim: deadlock: ") {
@@ -339,25 +351,93 @@ func TestDeadlockPanicsOutOfRun(t *testing.T) {
 	if v != want {
 		t.Fatalf("body panic: recovered %#v, want the value the body raised", v)
 	}
+
+	// Equal costs: thread 0 resumes 1, 1 resumes 2 and 2 resumes 3, so
+	// thread 3's panic unwinds three resumes on its way to Run.
+	chained := false
+	v = runRecover(4, func(p *Proc) {
+		if p.ID() == 3 {
+			chained = onChain(p)
+			panic(want)
+		}
+		p.Work(1)
+	})
+	if v != want || !chained {
+		t.Fatalf("body panic on top of a 4-deep chain (chain seen: %v): recovered %#v, want the value the body raised", chained, v)
+	}
+
+	// Each arriver blocks and resumes the next thread, so the deadlock
+	// is found by thread 3's block, with threads 0-2 on the chain.
+	chained = false
+	b = NewBarrier(5)
+	v = runRecover(4, func(p *Proc) {
+		if p.ID() == 3 {
+			chained = onChain(p)
+		}
+		b.Wait(p)
+	})
+	if want := "sim: deadlock: thread 3 blocked with no runnable threads"; v != want || !chained {
+		t.Fatalf("barrier of 5 waited on by 4 (chain seen: %v): recovered %#v, want %q", chained, v, want)
+	}
 }
 
 func TestHandoffAllocatesNothing(t *testing.T) {
-	// Two threads with identical costs alternate on every op, so each
-	// Work is a slow-path switch; a long region must allocate no more
-	// than a short one (the difference isolates the per-switch path from
-	// region set-up).
+	// Threads with identical costs rotate on every op, so each Work is a
+	// slow-path handoff (with 4 threads, every fourth one unwinds the
+	// resume chain); a long region must allocate no more than a short
+	// one (the difference isolates the per-switch path from region
+	// set-up).
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
-	allocs := func(ops int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			Run(cfg, h, 2, 1, nil, func(p *Proc) {
+	for _, n := range []int{2, 4} {
+		allocs := func(ops int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				Run(cfg, h, n, 1, nil, func(p *Proc) {
+					for i := 0; i < ops; i++ {
+						p.Work(1)
+					}
+				})
+			})
+		}
+		if short, long := allocs(10), allocs(10000); long != short {
+			t.Fatalf("%d threads: allocs per region: %v for 10 ops, %v for 10000; the handoff allocates", n, short, long)
+		}
+	}
+}
+
+// TestHandoffSwitchCounts pins the coroutine switches a handoff costs.
+// Threads with identical costs rotate on every op. With 2 threads the
+// pick is always resumed directly or sits right below the running
+// thread: one switch per handoff. With 4, threads 0-2 each resume the
+// next (3 switches) and thread 3 suspends down the chain to thread 0
+// (3 more): 6 switches per 4 handoffs. Run's resumes of the chain's
+// bottom and a finished coroutine's return are not handoffs.
+func TestHandoffSwitchCounts(t *testing.T) {
+	const ops = 1000
+	for _, tc := range []struct {
+		threads  int
+		num, den uint64 // switches per handoff
+	}{
+		{2, 1, 1},
+		{4, 3, 2},
+	} {
+		t.Run(fmt.Sprintf("%d threads", tc.threads), func(t *testing.T) {
+			cfg := arch.Haswell()
+			h := mem.New(cfg)
+			h.Rec = obs.NewRecorder("switches", 0)
+			var e *Engine
+			Run(cfg, h, tc.threads, 1, func(p *Proc) { e = p.Engine() }, func(p *Proc) {
 				for i := 0; i < ops; i++ {
 					p.Work(1)
 				}
 			})
+			handoffs := uint64(tc.threads * ops)
+			if e.switches != handoffs || h.Rec.Counter("sim:switches") != handoffs {
+				t.Fatalf("handoffs = %d, sim:switches = %d, want %d", e.switches, h.Rec.Counter("sim:switches"), handoffs)
+			}
+			if want := handoffs * tc.num / tc.den; e.coroSwitches != want {
+				t.Fatalf("coroutine switches = %d for %d handoffs, want %d", e.coroSwitches, handoffs, want)
+			}
 		})
-	}
-	if short, long := allocs(10), allocs(10000); long != short {
-		t.Fatalf("allocs per region: %v for 10 ops, %v for 10000; the handoff allocates", short, long)
 	}
 }
