@@ -23,7 +23,7 @@ package analysis
 //     mutate shared or single-threaded state and are boundary-only
 //     under the sharded engine (EffBoundary);
 //   - (*mem.cache).lookup/insert have LRU and memo side effects on the
-//     shared L3, unlike peekLine/present.
+//     shared L3, unlike peekLine/present; lookupDir reaches lookup.
 
 import (
 	"go/types"

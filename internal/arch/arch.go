@@ -239,9 +239,9 @@ func (c *Config) Validate() error {
 		return errf("cores must be positive, got %d", c.Cores)
 	case c.ThreadsPerCore <= 0:
 		return errf("threads per core must be positive, got %d", c.ThreadsPerCore)
-	case c.Cores > 64:
-		// mem tracks a line's sharers in a 64-bit core mask.
-		return errf("at most 64 cores are supported, got %d", c.Cores)
+	case c.Cores > 32:
+		// mem tracks a line's sharers in a 32-bit core mask.
+		return errf("at most 32 cores are supported, got %d", c.Cores)
 	case c.MaxThreads() > 32:
 		// htm tracks a line's transactional readers in a 32-bit thread mask.
 		return errf("at most 32 hardware threads are supported, got %d", c.MaxThreads())
@@ -254,6 +254,9 @@ func (c *Config) Validate() error {
 	}{{"L1", c.L1}, {"L2", c.L2}, {"L3", c.L3}} {
 		if g.geom.SizeBytes <= 0 || g.geom.Ways <= 0 {
 			return errf("%s geometry invalid: %+v", g.name, g.geom)
+		}
+		if g.geom.Ways > 16 {
+			return errf("%s has %d ways; at most 16 are supported (a set's LRU order is 16 4-bit way numbers in one 64-bit word)", g.name, g.geom.Ways)
 		}
 		if g.geom.SizeBytes%(LineSize*g.geom.Ways) != 0 {
 			return errf("%s size %d not divisible by ways*linesize", g.name, g.geom.SizeBytes)

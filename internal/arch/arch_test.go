@@ -1,6 +1,9 @@
 package arch
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestHaswellValid(t *testing.T) {
 	c := Haswell()
@@ -49,7 +52,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.TSX.MaxNest = 0 },
 		func(c *Config) { c.STM.LockArrayLog2 = 1 },
 		func(c *Config) { c.Cores = 65; c.ThreadsPerCore = 1 },
+		func(c *Config) { c.Cores = 33; c.ThreadsPerCore = 1 },
 		func(c *Config) { c.Cores = 17; c.ThreadsPerCore = 2 },
+		func(c *Config) { c.L3.Ways = 32 }, // 8 MB / (64 B * 32) = 4096 sets: only the way limit fails
 	}
 	for i, mutate := range cases {
 		c := Haswell()
@@ -57,5 +62,20 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation failure", i)
 		}
+	}
+}
+
+// TestValidateWayLimit pins the 16-way limit of the cache model's
+// recency word: 16 ways pass, 32 ways fail with the reason in the error.
+func TestValidateWayLimit(t *testing.T) {
+	c := Haswell()
+	c.L1.Ways = 16 // 32 sets
+	if err := c.Validate(); err != nil {
+		t.Fatalf("16-way L1 rejected: %v", err)
+	}
+	c.L1.Ways = 32 // 16 sets: every other check passes
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "at most 16") || !strings.Contains(err.Error(), "64-bit word") {
+		t.Fatalf("32-way L1: err = %v, want the 16-way limit and its reason", err)
 	}
 }

@@ -8,14 +8,16 @@ import (
 
 // TestCacheZeroAlloc pins the //rtm:hot contract on the cache fast
 // paths: once a cache exists, lookup/present/insert/drop never allocate
-// (the tag and line arrays are fixed at construction; the memo is one
-// index).
+// (the tag, recency and directory arrays are fixed at construction; the
+// memo is one index).
 func TestCacheZeroAlloc(t *testing.T) {
-	c := newCache(64, 8)
+	c := newCache(64, 8, true)
 	cycle := func() {
 		for la := uint64(0); la < 512; la++ {
 			c.insert(la)
 			c.lookup(la)
+			c.lookupDir(la)
+			c.peekLine(la)
 			c.present(la)
 		}
 		for la := uint64(0); la < 512; la += 2 {

@@ -21,7 +21,9 @@ func BenchmarkLoadHit(b *testing.B) {
 }
 
 // BenchmarkLoadHitAlternating defeats the single-entry memo on purpose
-// (two lines in different sets) to pin the cost of the full set scan.
+// to pin the cost of the full set scan: lines 0 and 64 share L1 set 0,
+// so every hit also moves its way to the front of the set's recency
+// word.
 func BenchmarkLoadHitAlternating(b *testing.B) {
 	h := New(arch.Haswell())
 	h.Load(0, 0)
@@ -67,5 +69,31 @@ func BenchmarkMemoryReadWrite(b *testing.B) {
 		if m.Read(addr) != int64(i) {
 			b.Fatal("readback mismatch")
 		}
+	}
+}
+
+// BenchmarkL3HitFill cycles a working set twice the size of the L2 and
+// far inside the L3: every load misses L1 and L2, hits the L3 and fills
+// both private levels over their least recently used ways, so it times
+// the victim path of insert.
+func BenchmarkL3HitFill(b *testing.B) {
+	cfg := arch.Haswell()
+	h := New(cfg)
+	const lines = 8192 // a power of two: the cycle index is a mask
+	if lines != 2*cfg.L2.SizeBytes/arch.LineSize {
+		b.Fatalf("working set %d lines is not twice the L2", lines)
+	}
+	for i := 0; i < lines; i++ {
+		h.Load(0, uint64(i)*arch.LineSize) // pull the working set into L3
+	}
+	before := h.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Load(0, uint64(i&(lines-1))*arch.LineSize)
+	}
+	b.StopTimer()
+	if d := h.Stats.Sub(before); d.L3Hits != uint64(b.N) || d.L2Evictions != uint64(b.N) {
+		b.Fatalf("%d loads: %d L3 hits, %d L2 evictions; want every load an L3 hit that evicts from L2", b.N, d.L3Hits, d.L2Evictions)
 	}
 }

@@ -110,14 +110,17 @@ type Hierarchy struct {
 // New builds a hierarchy for the given machine description with a fresh
 // backing store.
 func New(cfg *arch.Config) *Hierarchy {
+	if cfg.Cores > 32 {
+		panic("mem: at most 32 cores (directory sharer masks are 32 bits)")
+	}
 	h := &Hierarchy{
 		cfg: cfg,
 		mem: NewMemory(),
-		l3:  newCache(cfg.L3.Sets(), cfg.L3.Ways),
+		l3:  newCache(cfg.L3.Sets(), cfg.L3.Ways, true),
 	}
 	for c := 0; c < cfg.Cores; c++ {
-		h.l1 = append(h.l1, newCache(cfg.L1.Sets(), cfg.L1.Ways))
-		h.l2 = append(h.l2, newCache(cfg.L2.Sets(), cfg.L2.Ways))
+		h.l1 = append(h.l1, newCache(cfg.L1.Sets(), cfg.L1.Ways, false))
+		h.l2 = append(h.l2, newCache(cfg.L2.Sets(), cfg.L2.Ways, false))
 	}
 	return h
 }
@@ -167,24 +170,24 @@ func (h *Hierarchy) Touch(core int, addr uint64) uint64 {
 	return h.loadLine(core, LineAddr(addr))
 }
 
-func bit(core int) uint64 { return 1 << uint(core) }
+func bit(core int) uint32 { return 1 << uint(core) }
 
 func (h *Hierarchy) loadLine(core int, la uint64) uint64 {
 	lat := &h.cfg.Lat
 	h.Stats.L1Accesses++
-	if h.l1[core].lookup(la) != nil {
+	if h.l1[core].lookup(la) {
 		h.Stats.L1Hits++
 		return lat.L1Hit
 	}
 	h.Stats.L2Accesses++
-	if h.l2[core].lookup(la) != nil {
+	if h.l2[core].lookup(la) {
 		h.Stats.L2Hits++
 		h.fillL1(core, la)
 		h.prefetchNext(core, la)
 		return lat.L2Hit
 	}
 	h.Stats.L3Accesses++
-	if dir := h.l3.lookup(la); dir != nil {
+	if dir := h.l3.lookupDir(la); dir != nil {
 		h.Stats.L3Hits++
 		cost := lat.L3Hit
 		if dir.owner >= 0 && int(dir.owner) != core {
@@ -241,14 +244,14 @@ func (h *Hierarchy) prefetchNext(core int, la uint64) {
 func (h *Hierarchy) storeLine(core int, la uint64) uint64 {
 	lat := &h.cfg.Lat
 	h.Stats.L1Accesses++
-	l1hit := h.l1[core].lookup(la) != nil
+	l1hit := h.l1[core].lookup(la)
 	if !l1hit {
 		h.Stats.L2Accesses++
 	}
-	l2hit := !l1hit && h.l2[core].lookup(la) != nil
+	l2hit := !l1hit && h.l2[core].lookup(la)
 
 	if l1hit || l2hit {
-		dir := h.l3.lookup(la)
+		dir := h.l3.lookupDir(la)
 		if dir == nil {
 			// Inclusion violated only if the line raced out of L3; treat
 			// as a fresh install (should not happen, but stay safe).
@@ -282,7 +285,7 @@ func (h *Hierarchy) storeLine(core int, la uint64) uint64 {
 	}
 
 	h.Stats.L3Accesses++
-	if dir := h.l3.lookup(la); dir != nil {
+	if dir := h.l3.lookupDir(la); dir != nil {
 		h.Stats.L3Hits++
 		cost := lat.L3Hit
 		if dir.owner >= 0 && int(dir.owner) != core {
@@ -450,7 +453,7 @@ func (h *Hierarchy) CachedIn(core int, la uint64) (inL1, inL2, inL3 bool) {
 // (0, -1) if the line is not in L3. For tests.
 func (h *Hierarchy) L3Sharers(la uint64) (sharers uint64, owner int) {
 	if dir := h.l3.peekLine(la); dir != nil {
-		return dir.sharers, int(dir.owner)
+		return uint64(dir.sharers), int(dir.owner)
 	}
 	return 0, -1
 }

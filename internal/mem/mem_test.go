@@ -159,7 +159,7 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 		}
 	}
 	sharers, owner := h.L3Sharers(LineAddr(0))
-	if owner != 1 || sharers != bit(1) {
+	if owner != 1 || sharers != uint64(bit(1)) {
 		t.Errorf("directory after store: owner=%d sharers=%b", owner, sharers)
 	}
 	if len(evicts) != 2 {
@@ -272,7 +272,7 @@ func TestCoherenceInvariants(t *testing.T) {
 				owners++
 				// Owner must be a sharer of its own line.
 				sh, ow := h.L3Sharers(l)
-				if sh&bit(ow) == 0 {
+				if sh&uint64(bit(ow)) == 0 {
 					t.Logf("owner %d not in sharer mask %b for line %d", ow, sh, l)
 					return false
 				}
@@ -430,7 +430,7 @@ func TestPrefetchNeverStealsDirtyLine(t *testing.T) {
 // and drop() fast paths: hits through the memo, hits after the memo went
 // stale, and memo invalidation when the memoized line is dropped.
 func TestCacheMemoPresentDrop(t *testing.T) {
-	c := newCache(4, 2)
+	c := newCache(4, 2, false)
 	c.insert(5)
 	c.lookup(5) // prime the memo
 	if !c.present(5) || !c.present(5) {
@@ -466,30 +466,41 @@ func TestCacheMemoPresentDrop(t *testing.T) {
 	}
 }
 
-// TestCacheTagSentinel covers the empty-way tag: a dropped line that
-// comes back in a different way is found there although the memo still
-// points at its old way, count() sees only live tags, and a full set
-// evicts its least recently used way.
+// TestCacheTagSentinel covers the empty-way tag and the recency word: a
+// dropped line that comes back in a different way is found there
+// although the memo still points at its old way, count() sees only live
+// tags, a hit moves its way to rank 0, a full set evicts the way at the
+// last rank, and only a directory cache hands out directory entries.
 func TestCacheTagSentinel(t *testing.T) {
-	c := newCache(4, 2) // lines 1, 5, 9 share set 1: ways 2 and 3
+	// Lines 1, 5, 9 share set 1: its ways 0 and 1 are tags[2] and tags[3].
+	c := newCache(4, 2, true)
 	if c.count() != 0 {
 		t.Fatalf("new cache count = %d", c.count())
 	}
+	if c.order[1] != 0x10 {
+		t.Fatalf("new set order = %#x, want way 0 at rank 0, way 1 at rank 1", c.order[1])
+	}
 	c.insert(1)
-	c.lookup(1) // memo -> way 2
+	c.lookup(1) // memo -> tags[2]
 	c.drop(1)
-	c.insert(5) // takes the freed way 2
-	c.insert(1) // lands in way 3
-	if l := c.lookup(1); l != &c.lines[3] {
+	c.insert(5) // takes the freed tags[2]
+	c.insert(1) // lands in tags[3]
+	if l := c.lookupDir(1); l != &c.dir[3] {
 		t.Fatal("lookup after drop and re-insert returned a stale way")
 	}
 	if c.count() != 2 {
 		t.Fatalf("count = %d, want 2", c.count())
 	}
 	c.lookup(5) // 1 is now the LRU way
+	if c.order[1] != 0x10 {
+		t.Fatalf("set order = %#x, want way 0 (line 5) at rank 0, way 1 (line 1) at rank 1", c.order[1])
+	}
 	victim, evicted, entry := c.insert(9)
-	if !evicted || victim != 1 || entry != &c.lines[3] {
-		t.Fatalf("full-set insert evicted (%d, %v) into way %p, want line 1 from way 3", victim, evicted, entry)
+	if !evicted || victim != 1 || entry != &c.dir[3] || entry.owner != -1 || entry.sharers != 0 {
+		t.Fatalf("full-set insert evicted (%d, %v) into entry %p, want line 1 from tags[3]", victim, evicted, entry)
+	}
+	if c.order[1] != 0x01 {
+		t.Fatalf("set order = %#x, want way 1 (line 9) at rank 0", c.order[1])
 	}
 	if c.present(1) || !c.present(5) || !c.present(9) || c.count() != 2 {
 		t.Fatal("set contents wrong after LRU eviction")
@@ -500,5 +511,10 @@ func TestCacheTagSentinel(t *testing.T) {
 	c.insert(2) // another set
 	if c.count() != 2 {
 		t.Fatalf("count = %d, want 2", c.count())
+	}
+
+	p := newCache(4, 2, false)
+	if _, _, entry := p.insert(1); entry != nil || p.dir != nil || !p.lookup(1) {
+		t.Fatal("a cache without a directory keeps directory entries")
 	}
 }

@@ -13,8 +13,9 @@
 //     write buffer) guarantee that speculative values are never visible to
 //     other threads.
 //   - Coherence state is centralised in the L3 directory entry of each line
-//     (owner core for M, sharer set for S/E). The private L1/L2 arrays are
-//     pure presence/recency filters.
+//     (owner core for M, sharer set for S/E). Only the L3 keeps directory
+//     entries; the private L1/L2 are pure presence/recency filters: tags
+//     plus one packed recency word per set (see cache).
 //   - All methods are single-threaded by construction (the engine
 //     serialises simulated threads), so the package uses no locks.
 package mem

@@ -105,7 +105,7 @@ func (h *Hierarchy) ShardEpochReset() {
 func (h *Hierarchy) ApplyShardDelta(core int, op uint8, la uint64) {
 	switch op {
 	case MDLoadShare:
-		dir := h.l3.lookup(la)
+		dir := h.l3.lookupDir(la)
 		if dir == nil {
 			// Evicted by an earlier boundary op this epoch: reinstall to
 			// keep L3 inclusive of the local fill the core performed.
@@ -121,7 +121,7 @@ func (h *Hierarchy) ApplyShardDelta(core int, op uint8, la uint64) {
 		}
 		dir.sharers |= bit(core)
 	case MDStoreClaim:
-		dir := h.l3.lookup(la)
+		dir := h.l3.lookupDir(la)
 		if dir == nil {
 			dir = h.installL3(la)
 		}
@@ -197,7 +197,7 @@ func (v *View) Read(addr uint64) int64 {
 //rtm:midepoch
 func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSink) (uint64, bool) {
 	la := LineAddr(addr)
-	if h.l1[core].lookup(la) != nil {
+	if h.l1[core].lookup(la) {
 		stats.L1Accesses++
 		stats.L1Hits++
 		return h.cfg.Lat.L1Hit, true
@@ -207,7 +207,7 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 		// resolve the whole access at the boundary.
 		return 0, false
 	}
-	if h.l2[core].lookup(la) != nil {
+	if h.l2[core].lookup(la) {
 		stats.L1Accesses++
 		stats.L2Accesses++
 		stats.L2Hits++
@@ -262,8 +262,8 @@ func (h *Hierarchy) LocalLoad(core int, addr uint64, stats *Stats, sink ShardSin
 //rtm:midepoch
 func (h *Hierarchy) LocalStore(core int, addr uint64, stats *Stats, sink ShardSink) (uint64, bool) {
 	la := LineAddr(addr)
-	l1 := h.l1[core].lookup(la) != nil
-	l2 := !l1 && h.l2[core].lookup(la) != nil
+	l1 := h.l1[core].lookup(la)
+	l2 := !l1 && h.l2[core].lookup(la)
 	dir := h.l3.peekLine(la)
 	s := h.shard
 	if l1 || l2 {

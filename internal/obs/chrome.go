@@ -48,25 +48,23 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			// mid-span — from a genuinely unbalanced span sequence.
 			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s,"dropped":%d}}`,
 				pid, tid, jstr(fmt.Sprintf("thread %d", tid)), r.threads[tid].dropped())
-			for _, e := range r.threads[tid].events() {
-				writeThreadEvent(emit, r, pid, tid, e)
-			}
+			r.threads[tid].each(func(e *Event) { writeThreadEvent(emit, r, pid, tid, e) })
 		}
 		for core := range r.cores {
 			tid := coreTrackBase + core
 			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`,
 				pid, tid, jstr(fmt.Sprintf("core %d mem", core)))
-			for _, e := range r.cores[core].events() {
+			r.cores[core].each(func(e *Event) {
 				emit(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":%s,"args":{"line":"0x%x"}}`,
 					pid, tid, e.Cycle, jstr(e.Kind.String()), e.Arg)
-			}
+			})
 		}
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 
-func writeThreadEvent(emit func(string, ...any), r *Recorder, pid, tid int, e Event) {
+func writeThreadEvent(emit func(string, ...any), r *Recorder, pid, tid int, e *Event) {
 	name := r.SiteName(e.Site)
 	if name == "" {
 		name = "tx"

@@ -130,42 +130,70 @@ type Event struct {
 	Cause Cause
 }
 
-// stream is one track's bounded ring. With a limit, the most recent
-// limit events are kept (flight-recorder semantics); total counts what
+// chunkLen is the number of events in one ring chunk (40 KiB), a power
+// of two so indexing is a shift and a mask.
+const chunkLen = 1024
+
+// stream is one track's ring of events, stored in fixed-size chunks that
+// are allocated on first use and never moved: growing the ring adds a
+// chunk and never re-copies the events already kept. With a limit, the
+// most recent limit events are kept (flight-recorder semantics): once
+// limit events are held, each push overwrites the oldest in place, and
+// the last chunk is only as long as the limit needs. total counts what
 // was ever emitted, so exporters can report drops.
 type stream struct {
-	buf   []Event
-	total uint64
-	limit int
+	chunks [][]Event
+	kept   int // events held: at most limit when limit > 0
+	next   int // slot of the next push
+	total  uint64
+	limit  int
 }
 
 func (s *stream) push(e Event) {
-	if s.limit > 0 && len(s.buf) >= s.limit {
-		s.buf[s.total%uint64(s.limit)] = e
-	} else {
-		s.buf = append(s.buf, e)
+	if s.next == s.limit && s.limit > 0 {
+		s.next = 0 // full: overwrite from the oldest slot
 	}
+	if s.next == s.kept {
+		if s.kept%chunkLen == 0 {
+			n := chunkLen
+			if s.limit > 0 {
+				if s.chunks == nil { // size the chunk index once
+					s.chunks = make([][]Event, 0, (s.limit+chunkLen-1)/chunkLen)
+				}
+				n = min(n, s.limit-s.kept)
+			}
+			s.chunks = append(s.chunks, make([]Event, n))
+		}
+		s.kept++
+	}
+	s.chunks[s.next/chunkLen][s.next%chunkLen] = e
+	s.next++
 	s.total++
 }
 
-// events returns the stream in emission order (oldest kept first).
-func (s *stream) events() []Event {
-	if s.limit <= 0 || s.total <= uint64(len(s.buf)) {
-		return s.buf
+// each calls f on the kept events in emission order (oldest first).
+func (s *stream) each(f func(*Event)) {
+	first := 0
+	if s.total > uint64(s.kept) { // wrapped: the oldest is at next
+		first = s.next
 	}
-	out := make([]Event, 0, len(s.buf))
-	head := int(s.total % uint64(s.limit))
-	out = append(out, s.buf[head:]...)
-	out = append(out, s.buf[:head]...)
+	for k := 0; k < s.kept; k++ {
+		i := first + k
+		if i >= s.kept {
+			i -= s.kept
+		}
+		f(&s.chunks[i/chunkLen][i%chunkLen])
+	}
+}
+
+// events returns a copy of the kept events in emission order.
+func (s *stream) events() []Event {
+	out := make([]Event, 0, s.kept)
+	s.each(func(e *Event) { out = append(out, *e) })
 	return out
 }
 
-func (s *stream) dropped() uint64 {
-	if n := uint64(len(s.buf)); s.total > n {
-		return s.total - n
-	}
-	return 0
-}
+func (s *stream) dropped() uint64 { return s.total - uint64(s.kept) }
 
 // Hist is a log2-bucketed histogram: bucket k counts observations v with
 // bits.Len64(v) == k, i.e. 2^(k-1) <= v < 2^k (bucket 0 is v == 0).

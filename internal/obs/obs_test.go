@@ -6,31 +6,85 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
+// TestStreamRing checks the chunked ring against a slice reference at
+// limits around the chunk boundaries and unbounded: after every push
+// count, events() must be the reference's last limit events, oldest
+// first, and dropped() the rest.
 func TestStreamRing(t *testing.T) {
-	s := &stream{limit: 4}
-	for i := 0; i < 10; i++ {
-		s.push(Event{Cycle: uint64(i)})
-	}
-	ev := s.events()
-	if len(ev) != 4 {
-		t.Fatalf("kept %d events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if want := uint64(6 + i); e.Cycle != want {
-			t.Errorf("event %d cycle = %d, want %d (most recent 4, oldest first)", i, e.Cycle, want)
+	for _, limit := range []int{1, 4, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen + 5, 0} {
+		s := &stream{limit: limit}
+		var ref []Event
+		check := func() {
+			want := ref
+			if limit > 0 && len(want) > limit {
+				want = want[len(want)-limit:]
+			}
+			got := s.events()
+			if len(got) != len(want) {
+				t.Fatalf("limit %d after %d pushes: kept %d events, want %d", limit, len(ref), len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("limit %d after %d pushes: event %d = %+v, want %+v", limit, len(ref), i, got[i], want[i])
+				}
+			}
+			if d := s.dropped(); d != uint64(len(ref)-len(want)) {
+				t.Fatalf("limit %d after %d pushes: dropped = %d, want %d", limit, len(ref), d, len(ref)-len(want))
+			}
+		}
+		check()
+		n := 3*max(limit, chunkLen) + 7
+		for i := 0; i < n; i++ {
+			e := Event{Cycle: uint64(i), Arg: uint64(i) * 7, Site: int32(i % 5), Kind: Kind(i % int(NumKinds))}
+			s.push(e)
+			ref = append(ref, e)
+			if i < 3 || i%97 == 0 || i == limit-1 || i == limit || i == limit+1 || i == n-1 {
+				check()
+			}
 		}
 	}
-	if s.dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", s.dropped())
+}
+
+// TestStreamRingAllocs pins the ring's allocations: filling a bounded
+// ring of limit L allocates exactly ceil(L/chunkLen) chunks plus the
+// chunk index, the chunks hold exactly L events, and once the ring has
+// wrapped a push allocates nothing.
+func TestStreamRingAllocs(t *testing.T) {
+	for _, limit := range []int{1, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen + 5} {
+		chunks := (limit + chunkLen - 1) / chunkLen
+		var s *stream
+		fill := func() {
+			s = &stream{limit: limit}
+			for i := 0; i < limit; i++ {
+				s.push(Event{Cycle: uint64(i)})
+			}
+		}
+		// One more allocation for the stream itself.
+		if n := testing.AllocsPerRun(5, fill); n != float64(chunks+2) {
+			t.Errorf("limit %d: filling allocates %v times, want %d chunks + index + stream", limit, n, chunks)
+		}
+		held := 0
+		for _, c := range s.chunks {
+			held += len(c)
+		}
+		if len(s.chunks) != chunks || held != limit {
+			t.Errorf("limit %d: %d chunks holding %d events, want %d holding %d", limit, len(s.chunks), held, chunks, limit)
+		}
+		s.push(Event{}) // wrap
+		if n := testing.AllocsPerRun(100, func() { s.push(Event{Cycle: 1}) }); n != 0 {
+			t.Errorf("limit %d: push on a wrapped ring allocates %v times", limit, n)
+		}
 	}
-	unbounded := &stream{}
-	for i := 0; i < 10; i++ {
-		unbounded.push(Event{Cycle: uint64(i)})
-	}
-	if len(unbounded.events()) != 10 || unbounded.dropped() != 0 {
-		t.Errorf("unbounded stream: kept %d dropped %d", len(unbounded.events()), unbounded.dropped())
+}
+
+// TestEventCompact pins the size of a recorded event: every ring slot
+// holds one, so a wider Event grows every trace's memory.
+func TestEventCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 40 {
+		t.Errorf("Event is %d bytes, want <= 40", n)
 	}
 }
 

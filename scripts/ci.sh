@@ -44,7 +44,7 @@ go test -race -short -timeout 10m ./...
 
 echo "== benchmark smoke (one iteration each) =="
 # Keeps the micro-benchmarks compiling and runnable so they can't rot;
-# timings come from scripts/perfgate.sh (htm and the sim handoff,
+# timings come from scripts/perfgate.sh (htm, the sim handoff and mem,
 # below) and from rtmbench (bench/, end to end).
 go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm ./internal/tm ./internal/vm
 
@@ -123,14 +123,14 @@ go run ./cmd/rtmreport "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -json "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -diff -same-commits "$obsdir/metrics/table4.json" "$obsdir/metrics4/table4.json" > /dev/null
 
-echo "== disabled-recorder overhead and handoff gate (htm, sim vs the parent commit, same host) =="
+echo "== disabled-recorder overhead, handoff and cache gate (htm, sim, mem vs the parent commit, same host) =="
 # The flight recorder must cost nothing when off: every site is a nil
 # check (structurally enforced by rtmvet obsguard + the zero-alloc
 # tests; this gate is the wall-clock backstop). perfgate.sh runs the
-# htm micro-benchmarks and the sim YieldHandoff benchmarks of the
-# parent commit and of the working tree in interleaved pairs on this
-# host and fails when either package's median pair geomean ns/op ratio
-# exceeds BENCH_TOL_PCT (default 10%). The geomean, not each
+# htm micro-benchmarks, the sim YieldHandoff benchmarks and the mem
+# cache-hierarchy benchmarks of the parent commit and of the working
+# tree in interleaved pairs on this host and fails when any package's
+# median pair geomean ns/op ratio exceeds BENCH_TOL_PCT (default 10%). The geomean, not each
 # benchmark, is gated: on shared-vCPU hosts single benchmarks swing
 # ±15-40% between identical-code runs while the geomean holds.
 sh scripts/perfgate.sh HEAD~1
