@@ -239,11 +239,10 @@ func (c *Config) Validate() error {
 		return errf("cores must be positive, got %d", c.Cores)
 	case c.ThreadsPerCore <= 0:
 		return errf("threads per core must be positive, got %d", c.ThreadsPerCore)
-	case c.Cores > 32:
-		// mem tracks a line's sharers in a 32-bit core mask.
-		return errf("at most 32 cores are supported, got %d", c.Cores)
 	case c.MaxThreads() > 32:
-		// htm tracks a line's transactional readers in a 32-bit thread mask.
+		// htm tracks a line's transactional readers in a 32-bit thread
+		// mask, and mem a line's sharers in a 32-bit core mask; with at
+		// least one thread per core this also bounds the cores.
 		return errf("at most 32 hardware threads are supported, got %d", c.MaxThreads())
 	case c.FreqGHz <= 0:
 		return errf("frequency must be positive, got %g", c.FreqGHz)

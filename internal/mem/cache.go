@@ -40,9 +40,7 @@ const (
 // short-circuits the scan on repeat-line accesses, which dominate
 // simulated workloads. The memo is a pure hint: every use compares the
 // memoized way's tag, so a stale memo costs one compare and never
-// returns a wrong line. lastMRU records that lookup left the memoized
-// way most recently used and no insert has run since, so a repeat
-// lookup needs no recency work.
+// returns a wrong line.
 type cache struct {
 	ways     int
 	lruShift uint // 4*(ways-1): the bit offset of the LRU rank's nibble
@@ -51,7 +49,6 @@ type cache struct {
 	order    []uint64 // per set: the recency word
 	dir      []line   // parallel to tags; nil without a directory
 	last     int
-	lastMRU  bool // last is its set's most recently used way
 }
 
 // newCache returns an empty cache of sets*ways lines; directory gives
@@ -123,10 +120,7 @@ func (c *cache) lookup(lineAddr uint64) bool {
 	if i < 0 {
 		return false
 	}
-	if i == c.last && c.lastMRU {
-		return true
-	}
-	c.last, c.lastMRU = i, true
+	c.last = i
 	set := lineAddr & c.setMask
 	if way := i - int(set)*c.ways; c.order[set]&0xF != uint64(way) {
 		c.touch(set, way)
@@ -154,9 +148,7 @@ func (c *cache) present(lineAddr uint64) bool {
 	if i < 0 {
 		return false
 	}
-	if i != c.last {
-		c.last, c.lastMRU = i, false
-	}
+	c.last = i
 	return true
 }
 
@@ -193,7 +185,6 @@ func (c *cache) insert(lineAddr uint64) (victim uint64, evicted bool, entry *lin
 	}
 	c.tags[base+way] = ^lineAddr
 	c.touch(set, way)
-	c.lastMRU = false // the memo's set may have a new most recent way
 	if c.dir != nil {
 		entry = &c.dir[base+way]
 		*entry = line{owner: -1}

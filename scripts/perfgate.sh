@@ -12,8 +12,10 @@
 # binaries with go test -c, and runs 6 pairs at -test.benchtime
 # ${BENCH_GATE_TIME:-0.3s}: odd pairs run the base first, even pairs the
 # head. The sim side runs only the YieldHandoff benchmarks
-# (YieldFastPath, a few ns, swings by about 20% from run to run); htm and
-# mem run all of theirs. cmd/benchcmp then gates each package on its
+# (YieldFastPath, a few ns, swings by about 20% from run to run), the mem
+# side only the Load, Store and L3Hit benchmarks, which drive the cache
+# hierarchy (MemoryReadWrite, the flat backing store alone, is left out);
+# htm runs all of its benchmarks. cmd/benchcmp then gates each package on its
 # own: the median over pairs of the geomean head/base ns/op, at
 # ${BENCH_TOL_PCT:-10} percent, and the script exits 1 when any is
 # beyond it. The htm benchmarks run with the flight recorder off, so the
@@ -42,13 +44,13 @@ go build -o "$tmp/benchcmp" ./cmd/benchcmp
 
 # run <side> appends one run of that side's htm benchmarks to
 # $tmp/htm-<side>.txt, of its sim handoff benchmarks to $tmp/sim-<side>.txt
-# and of its mem benchmarks to $tmp/mem-<side>.txt.
+# and of its mem cache-hierarchy benchmarks to $tmp/mem-<side>.txt.
 run() {
 	(cd internal/htm && "$tmp/htm-$1.test" -test.run '^$' -test.bench . \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/htm-$1.txt"
 	(cd internal/sim && "$tmp/sim-$1.test" -test.run '^$' -test.bench 'YieldHandoff' \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/sim-$1.txt"
-	(cd internal/mem && "$tmp/mem-$1.test" -test.run '^$' -test.bench . \
+	(cd internal/mem && "$tmp/mem-$1.test" -test.run '^$' -test.bench 'Load|Store|L3Hit' \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/mem-$1.txt"
 }
 for pair in 1 2 3 4 5 6; do
@@ -67,6 +69,6 @@ echo "== compare internal/htm (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/htm-base.txt" "$tmp/htm-head.txt" || status=1
 echo "== compare internal/sim handoff (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/sim-base.txt" "$tmp/sim-head.txt" || status=1
-echo "== compare internal/mem (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
+echo "== compare internal/mem cache hierarchy (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/mem-base.txt" "$tmp/mem-head.txt" || status=1
 exit "$status"
