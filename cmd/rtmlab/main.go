@@ -83,8 +83,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-epoch-cycles applies only to the sharded engine; add -shards N")
 		os.Exit(2)
 	}
+	// Auto is resolved here, where host inputs belong: the simulator
+	// packages take an explicit worker count and cap it at the
+	// simulated core count.
+	workers := *shards
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	o := harness.Options{Seeds: *seeds, OutDir: *outDir, Jobs: *jobs,
-		Shards: *shards, EpochCycles: *epochCyc}
+		Shards: workers, EpochCycles: *epochCyc}
 	if *stmProto != stm.TinySTMName {
 		// The default stays "", keeping default runs on the pristine
 		// fast path (and their output bytes unchanged).

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	rtmvet [-json] [-fix] [-passes p1,p2] [-disable p1] [-tags t1,t2] [packages]
+//	rtmvet [-json] [-fix] [-passes p1,p2] [-tags t1,t2] [packages]
 //
 // Packages are directories or ./...-style patterns (default ./...).
 // Exit status: 0 clean, 1 findings, 2 load/usage errors.
@@ -52,7 +52,6 @@ func run() int {
 		jsonOut = flag.Bool("json", false, "emit diagnostics as JSON")
 		fix     = flag.Bool("fix", false, "apply suggested fixes (sortable map ranges)")
 		passes  = flag.String("passes", "", "comma-separated passes to run (default: all)")
-		disable = flag.String("disable", "", "comma-separated passes to skip")
 		list    = flag.Bool("list", false, "list available passes and exit")
 		tags    = flag.String("tags", "", "comma-separated build tags honored during file selection")
 	)
@@ -68,9 +67,6 @@ func run() int {
 	opt := analysis.Options{}
 	if *passes != "" {
 		opt.Passes = strings.Split(*passes, ",")
-	}
-	if *disable != "" {
-		opt.Disable = strings.Split(*disable, ",")
 	}
 
 	patterns := flag.Args()

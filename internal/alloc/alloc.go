@@ -49,9 +49,6 @@ func NewHeap(pt *vm.PageTable) *Heap {
 	return &Heap{pt: pt, brk: HeapBase}
 }
 
-// Brk returns the current top of the heap (for diagnostics).
-func (h *Heap) Brk() uint64 { return h.brk }
-
 // shardProc is the slice of sim.Proc the heap needs to serialise growth
 // under the epoch-sharded engine (declared here so alloc does not import
 // sim).

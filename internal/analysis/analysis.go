@@ -3,16 +3,27 @@
 // can only probe dynamically:
 //
 //   - detnondet: no nondeterminism source (wall-clock time, the global
-//     math/rand stream, environment-dependent branching, goroutine-ID
-//     tricks, order-sensitive map iteration) in the packages whose state
-//     feeds the simulated timeline and the experiment output;
+//     math/rand stream, branching on the environment or host
+//     configuration, goroutine-ID tricks, order-sensitive map
+//     iteration) in the packages whose state feeds the simulated
+//     timeline and the experiment output;
 //   - hotalloc: functions annotated //rtm:hot contain no construct that
 //     allocates or boxes on the steady-state path;
 //   - obsguard: every *obs.Recorder method call is dominated by a nil
 //     check on its receiver, keeping the disabled flight recorder at one
 //     compare;
 //   - detseed: rng generators are seeded from parameters or config, never
-//     from wall-clock or pid sources.
+//     from wall-clock, pid, environment or ambient-randomness sources;
+//   - txnsafe: atomic-block closures reach no host-state side effect
+//     (captured or package-level writes, I/O, channels, goroutines), since
+//     an aborted body re-executes;
+//   - shardfreeze: //rtm:midepoch functions do not mutate the shared
+//     state the sharded engine freezes between epoch boundaries.
+//
+// One table, intrinsics.go, says which stdlib call reads the clock,
+// global randomness or the environment; detnondet, detseed and the
+// interprocedural effect summaries behind txnsafe and shardfreeze all
+// read it.
 //
 // The driver is built on go/ast, go/types and go/build only — no module
 // dependencies. Findings can be suppressed per line with a
@@ -162,43 +173,25 @@ func ignoresIn(fset *token.FileSet, f *ast.File) []ignoreDirective {
 
 // Options configures a Run.
 type Options struct {
-	Passes  []string // nil = all
-	Disable []string
+	Passes []string // nil = all
 }
 
 func selectPasses(opt Options) ([]*Pass, error) {
 	all := Passes()
+	if opt.Passes == nil {
+		return all, nil
+	}
 	byName := make(map[string]*Pass, len(all))
 	for _, p := range all {
 		byName[p.Name] = p
 	}
 	var sel []*Pass
-	if opt.Passes == nil {
-		sel = all
-	} else {
-		for _, name := range opt.Passes {
-			p, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("unknown pass %q", name)
-			}
-			sel = append(sel, p)
+	for _, name := range opt.Passes {
+		p, ok := byName[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown pass %q", name)
 		}
-	}
-	if len(opt.Disable) > 0 {
-		drop := make(map[string]bool)
-		for _, name := range opt.Disable {
-			if _, ok := byName[name]; !ok {
-				return nil, fmt.Errorf("unknown pass %q", name)
-			}
-			drop[name] = true
-		}
-		kept := sel[:0]
-		for _, p := range sel {
-			if !drop[p.Name] {
-				kept = append(kept, p)
-			}
-		}
-		sel = kept
+		sel = append(sel, p)
 	}
 	return sel, nil
 }

@@ -348,22 +348,20 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	}
 }
 
-// TestPassSelection: unknown names error; -disable removes a pass.
+// TestPassSelection: unknown names error; -passes runs only the named
+// passes.
 func TestPassSelection(t *testing.T) {
 	u := loadFixture(t, "detseed")
 	if _, err := RunUnit(u, Options{Passes: []string{"nope"}}); err == nil {
 		t.Error("unknown pass name accepted")
 	}
-	if _, err := RunUnit(u, Options{Disable: []string{"nope"}}); err == nil {
-		t.Error("unknown disable name accepted")
-	}
-	diags, err := RunUnit(u, Options{Disable: []string{"detseed"}})
+	diags, err := RunUnit(u, Options{Passes: []string{"detnondet"}})
 	if err != nil {
 		t.Fatalf("RunUnit: %v", err)
 	}
 	for _, d := range diags {
 		if d.Pass == "detseed" {
-			t.Errorf("disabled pass still ran: %v", d)
+			t.Errorf("unselected pass still ran: %v", d)
 		}
 	}
 }

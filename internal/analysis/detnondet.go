@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // detPackages are the module-relative packages whose behavior must be a
@@ -116,16 +115,11 @@ func runDetNonDet(u *Unit) []Diagnostic {
 // cascades at every caller).
 func crossDetSummary(u *Unit, call *ast.CallExpr) (*types.Func, *Summary) {
 	f, ok := calleeObj(u.Info, call).(*types.Func)
-	if !ok || f.Pkg() == nil || f.Pkg() == u.Pkg {
-		return nil, nil
-	}
-	path := f.Pkg().Path()
-	mp := u.Loader.ModulePath
-	if path != mp && !strings.HasPrefix(path, mp+"/") {
+	if !ok || f.Pkg() == u.Pkg || !u.Loader.inModule(f.Pkg()) {
 		return nil, nil
 	}
 	for _, p := range detPackages {
-		if path == mp+"/"+p || strings.HasSuffix(path, "/"+p) {
+		if pkgPathIs(f.Pkg(), p) {
 			return nil, nil
 		}
 	}
@@ -136,9 +130,11 @@ func crossDetSummary(u *Unit, call *ast.CallExpr) (*types.Func, *Summary) {
 	return f, sum
 }
 
-// envSummaryCall reports whether expr contains a call whose callee's
-// effect summary reads the process environment.
-func envSummaryCall(u *Unit, expr ast.Node) bool {
+// readsEnv reports whether expr contains a call that reads the process
+// environment or host configuration: a stdlib call whose intrinsic
+// carries EffEnv (os.Getenv, runtime.GOMAXPROCS, ...) or a call whose
+// cross-package effect summary does.
+func readsEnv(u *Unit, expr ast.Node) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if found {
@@ -148,17 +144,22 @@ func envSummaryCall(u *Unit, expr ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if _, sum := crossDetSummary(u, call); sum != nil && sum.Bits&EffEnv != 0 {
-			found = true
-			return false
+		f, ok := calleeObj(u.Info, call).(*types.Func)
+		if !ok {
+			return true
 		}
-		return true
+		if in, _ := intrinsicFor(f); in.bits&EffEnv != 0 {
+			found = true
+		} else if _, sum := crossDetSummary(u, call); sum != nil && sum.Bits&EffEnv != 0 {
+			found = true
+		}
+		return !found
 	})
 	return found
 }
 
-// envBranches flags branching on environment variables: os.Getenv /
-// os.LookupEnv called directly in an if/switch/for condition, or a local
+// envBranches flags branching on the environment: a call that reads it
+// (see readsEnv) directly in an if/switch/for condition, or a local
 // variable assigned from one and later used in a condition. Through the
 // effect summaries the same taint crosses function boundaries: a helper
 // that returns a value derived from the environment taints the
@@ -172,11 +173,7 @@ func envBranches(u *Unit, pass string, body *ast.BlockStmt) []Diagnostic {
 		}
 		fromEnv := false
 		for _, rhs := range assign.Rhs {
-			if _, ok := containsCallTo(u.Info, rhs, "os", "Getenv", "LookupEnv"); ok {
-				fromEnv = true
-			} else if envSummaryCall(u, rhs) {
-				fromEnv = true
-			}
+			fromEnv = fromEnv || readsEnv(u, rhs)
 		}
 		if !fromEnv {
 			return true
@@ -197,11 +194,7 @@ func envBranches(u *Unit, pass string, body *ast.BlockStmt) []Diagnostic {
 		if cond == nil {
 			return token.NoPos, false
 		}
-		if obj, ok := containsCallTo(u.Info, cond, "os", "Getenv", "LookupEnv"); ok {
-			_ = obj
-			return cond.Pos(), true
-		}
-		if envSummaryCall(u, cond) {
+		if readsEnv(u, cond) {
 			return cond.Pos(), true
 		}
 		var pos token.Pos
@@ -233,7 +226,7 @@ func envBranches(u *Unit, pass string, body *ast.BlockStmt) []Diagnostic {
 		}
 		if pos, bad := condSuspicious(cond); bad {
 			diags = append(diags, u.diag(pass, pos,
-				"branch depends on os.Getenv in deterministic package; thread configuration through arch.Config instead"))
+				"branch depends on os.Getenv or host configuration in deterministic package; thread configuration through arch.Config instead"))
 		}
 		return true
 	})

@@ -7,7 +7,8 @@ import (
 
 // runDetSeed checks every construction/reseeding of an internal/rng
 // generator, in every package: the seed expression must not pull from
-// wall-clock, pid, environment or ambient-randomness sources. Seeds are
+// wall-clock, pid, environment or ambient-randomness sources (the
+// intrinsics table's EffTime, EffRand and EffEnv entries). Seeds are
 // experiment inputs — they arrive through flags, config structs or
 // parent generators, which is what makes whole runs replayable.
 func runDetSeed(u *Unit) []Diagnostic {
@@ -44,8 +45,9 @@ func runDetSeed(u *Unit) []Diagnostic {
 	return diags
 }
 
-// nondetSeedSource scans a seed expression for calls into wall-clock,
-// pid, environment or ambient-randomness APIs.
+// nondetSeedSource scans a seed expression for calls the intrinsics
+// table marks as reading the wall clock, global randomness or the host
+// environment.
 func nondetSeedSource(info *types.Info, seed ast.Expr) (string, bool) {
 	var found string
 	ast.Inspect(seed, func(n ast.Node) bool {
@@ -56,24 +58,12 @@ func nondetSeedSource(info *types.Info, seed ast.Expr) (string, bool) {
 		if !ok {
 			return true
 		}
-		obj := calleeObj(info, call)
-		if obj == nil || obj.Pkg() == nil {
+		f, ok := calleeObj(info, call).(*types.Func)
+		if !ok {
 			return true
 		}
-		bad := false
-		switch obj.Pkg().Path() {
-		case "time":
-			bad = obj.Name() == "Now" || obj.Name() == "Since" || obj.Name() == "Until"
-		case "os":
-			bad = obj.Name() == "Getpid" || obj.Name() == "Getppid" ||
-				obj.Name() == "Getenv" || obj.Name() == "LookupEnv"
-		case "math/rand", "math/rand/v2", "crypto/rand":
-			bad = true
-		case "runtime":
-			bad = obj.Name() == "NumGoroutine" || obj.Name() == "Stack"
-		}
-		if bad {
-			found = obj.Pkg().Path() + "." + obj.Name()
+		if in, _ := intrinsicFor(f); in.bits&(EffTime|EffRand|EffEnv) != 0 {
+			found = f.Pkg().Path() + "." + f.Name()
 			return false
 		}
 		return true

@@ -386,7 +386,7 @@ func (b *effBuild) funcValue(f *types.Func, recv ast.Expr, pos token.Pos) {
 	}
 	n := b.e.nodeForFunc(f)
 	if n == nil {
-		if b.moduleInternal(f) {
+		if b.e.l.inModule(f.Pkg()) {
 			b.addBit(EffUnknown, pos, "reference to "+f.Name()+" with no analyzable body")
 		}
 		return
@@ -395,16 +395,6 @@ func (b *effBuild) funcValue(f *types.Func, recv ast.Expr, pos token.Pos) {
 		return
 	}
 	b.edgeTo([]*fnode{n}, pos, recv, nil, true, "use of "+n.name+" as a value")
-}
-
-func (b *effBuild) moduleInternal(f *types.Func) bool {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return false
-	}
-	path := pkg.Path()
-	mp := b.e.l.ModulePath
-	return path == mp || len(path) > len(mp) && path[:len(mp)+1] == mp+"/"
 }
 
 func (b *effBuild) edgeTo(targets []*fnode, pos token.Pos, recv ast.Expr, args []ast.Expr, bind bool, desc string) {
@@ -519,7 +509,7 @@ func (b *effBuild) funcCall(f *types.Func, fun ast.Expr, call *ast.CallExpr) boo
 	}
 	n := b.e.nodeForFunc(f)
 	if n == nil {
-		if b.moduleInternal(f) {
+		if b.e.l.inModule(f.Pkg()) {
 			b.addBit(EffUnknown, call.Pos(), "call to "+f.Name()+" with no analyzable body")
 		}
 		return false // stdlib without intrinsic entry: assumed effect-free
@@ -573,7 +563,7 @@ func (b *effBuild) ifaceEdge(f *types.Func, recv ast.Expr, args []ast.Expr, bind
 	if named == nil || named.Obj().Pkg() == nil {
 		return
 	}
-	if !b.moduleInternal(f) {
+	if !b.e.l.inModule(f.Pkg()) {
 		return
 	}
 	impls := b.e.implementors(named, f.Name())

@@ -109,6 +109,37 @@ func causeText(fset *token.FileSet, c *Cause) string {
 	return strings.Join(parts, " -> ")
 }
 
+// causeAt returns where to report an effect explained by c (its
+// outermost link, or fallback when c is nil) and the ": chain" suffix
+// for the message.
+func (u *Unit) causeAt(c *Cause, fallback token.Pos) (token.Pos, string) {
+	if c == nil {
+		return fallback, ""
+	}
+	return c.Pos, ": " + causeText(u.Fset, c)
+}
+
+// effectDiags reports, in effectLabels order, each effect in banned
+// that sum carries. format's one %s takes the effect's label and the
+// cause chain follows it; kinds overrides the finding kind per effect
+// ("host-effect" otherwise).
+func (u *Unit) effectDiags(pass string, sum *Summary, banned Effect, fallback token.Pos,
+	kinds map[Effect]string, format string) []Diagnostic {
+	var diags []Diagnostic
+	for _, el := range effectLabels {
+		if el.Bit&banned == 0 || sum.Bits&el.Bit == 0 {
+			continue
+		}
+		kind, ok := kinds[el.Bit]
+		if !ok {
+			kind = "host-effect"
+		}
+		pos, detail := u.causeAt(sum.Cause(el.Bit), fallback)
+		diags = append(diags, u.diagKind(pass, kind, pos, format+"%s", el.Label, detail))
+	}
+	return diags
+}
+
 // targetWrite records that a function writes through one target (its
 // receiver, one parameter, or one captured variable).
 type targetWrite struct {
@@ -409,14 +440,10 @@ func (e *effEngine) nodeForFunc(f *types.Func) *fnode {
 	if n, ok := e.nodes[key]; ok {
 		return n
 	}
-	pkg := f.Pkg()
-	if pkg == nil {
+	if !e.l.inModule(f.Pkg()) {
 		return nil
 	}
-	path := pkg.Path()
-	if path != e.l.ModulePath && !strings.HasPrefix(path, e.l.ModulePath+"/") {
-		return nil
-	}
+	path := f.Pkg().Path()
 	if e.loadErr[path] {
 		return nil
 	}
@@ -702,9 +729,4 @@ func (u *Unit) SummaryForFunc(f *types.Func) *Summary {
 		return nil
 	}
 	return e.summarize(n)
-}
-
-// CauseString renders the chain for one effect bit of s for diagnostics.
-func (u *Unit) CauseString(s *Summary, bit Effect) string {
-	return causeText(u.Fset, s.causes[bit])
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // hotDirective marks a function as part of the simulator's steady-state
@@ -89,7 +90,7 @@ func hotAllocFunc(u *Unit, pass string, fd *ast.FuncDecl) []Diagnostic {
 			if captured := capturedVars(u, fd, e); len(captured) > 0 {
 				diags = append(diags, u.diag(pass, e.Pos(),
 					"closure in //rtm:hot function captures %s (allocates the closure and its captures)",
-					joinNames(captured)))
+					strings.Join(captured, ", ")))
 			}
 			return false // don't descend: inner body is not the hot path itself
 		}
@@ -254,15 +255,4 @@ func capturedVars(u *Unit, fd *ast.FuncDecl, lit *ast.FuncLit) []string {
 		return true
 	})
 	return names
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

@@ -7,6 +7,9 @@ package analysis
 // name every stdlib source of nondeterminism or I/O the project code
 // can plausibly reach; stdlib calls without an entry are assumed
 // effect-free (pure computation — strings, sort, math, encoding).
+// They are the only such list: detnondet and detseed ask intrinsicFor
+// which calls read the clock (EffTime), global randomness (EffRand) or
+// the environment and host configuration (EffEnv).
 //
 // Module-internal intrinsics encode reviewed API contracts that body
 // analysis cannot see:
@@ -160,7 +163,7 @@ var fmtIOFuncs = map[string]bool{
 }
 
 var runtimeEnvFuncs = map[string]bool{
-	"NumCPU": true, "NumGoroutine": true, "GOMAXPROCS": true,
+	"NumCPU": true, "NumGoroutine": true, "GOMAXPROCS": true, "Stack": true,
 }
 
 func funcIntrinsic(path, name string) (intrinsicEffect, bool) {
@@ -225,13 +228,7 @@ func (e *effEngine) implementors(iface *types.Named, method string) []*fnode {
 		pkgs[u.Pkg.Path()] = u.Pkg
 	}
 	for path, p := range e.l.deps {
-		if p == nil {
-			continue
-		}
-		if _, dup := pkgs[path]; dup {
-			continue
-		}
-		if path == e.l.ModulePath || strings.HasPrefix(path, e.l.ModulePath+"/") {
+		if _, dup := pkgs[path]; !dup && e.l.inModule(p) {
 			pkgs[path] = p
 		}
 	}

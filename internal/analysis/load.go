@@ -105,6 +105,16 @@ func (l *Loader) dirFor(importPath string) (string, error) {
 	return "", fmt.Errorf("cannot resolve import %q (not in module %s or GOROOT)", importPath, l.ModulePath)
 }
 
+// inModule reports whether pkg belongs to the loaded module (as opposed
+// to the standard library).
+func (l *Loader) inModule(pkg *types.Package) bool {
+	if pkg == nil {
+		return false
+	}
+	p := pkg.Path()
+	return p == l.ModulePath || strings.HasPrefix(p, l.ModulePath+"/")
+}
+
 func isDir(p string) bool {
 	fi, err := os.Stat(p)
 	return err == nil && fi.IsDir()

@@ -15,7 +15,7 @@ package analysis
 // receiver is the design. What is banned is the boundary-only API
 // surface (EffBoundary: classic Hierarchy entry points, Memory
 // read/write memoization, the L3's LRU-effectful lookup/insert, the
-// single-threaded recorder and trace buffer), package-level writes,
+// single-threaded flight recorder), package-level writes,
 // I/O, host concurrency, and calls the engine cannot resolve.
 
 // midepochDirective marks a function as running mid-epoch under the
@@ -25,6 +25,13 @@ const midepochDirective = "//rtm:midepoch"
 // shardBannedEffects are the effects a mid-epoch function may not
 // reach.
 const shardBannedEffects = EffBoundary | EffWriteGlobal | EffIO | EffChan | EffGo | EffUnknown
+
+// shardFreezeKinds names the finding kinds that are not "host-effect".
+var shardFreezeKinds = map[Effect]string{
+	EffBoundary:    "boundary-call",
+	EffWriteGlobal: "frozen-write",
+	EffUnknown:     "unresolved-call",
+}
 
 // runShardFreeze checks every //rtm:midepoch function in the unit.
 func runShardFreeze(u *Unit) []Diagnostic {
@@ -38,34 +45,8 @@ func runShardFreeze(u *Unit) []Diagnostic {
 		if sum == nil {
 			continue
 		}
-		name := fn.decl.Name.Name
-		for _, el := range effectLabels {
-			if el.Bit&shardBannedEffects == 0 || sum.Bits&el.Bit == 0 {
-				continue
-			}
-			c := sum.Cause(el.Bit)
-			pos := fn.decl.Pos()
-			if c != nil {
-				pos = c.Pos
-			}
-			detail := ""
-			if c != nil {
-				detail = ": " + causeText(u.Fset, c)
-			}
-			var kind string
-			switch el.Bit {
-			case EffBoundary:
-				kind = "boundary-call"
-			case EffWriteGlobal:
-				kind = "frozen-write"
-			case EffUnknown:
-				kind = "unresolved-call"
-			default:
-				kind = "host-effect"
-			}
-			diags = append(diags, u.diagKind(pass, kind, pos,
-				"mid-epoch function %s %s while shared state is frozen%s", name, el.Label, detail))
-		}
+		diags = append(diags, u.effectDiags(pass, sum, shardBannedEffects, fn.decl.Pos(), shardFreezeKinds,
+			"mid-epoch function "+fn.decl.Name.Name+" %s while shared state is frozen")...)
 	}
 	return diags
 }

@@ -47,6 +47,13 @@ func envBranch() int {
 	return 0
 }
 
+func hostBranch() int {
+	if runtime.NumCPU() > 4 { // want `branch depends on os.Getenv`
+		return 1
+	}
+	return 0
+}
+
 func gid() int {
 	return runtime.NumGoroutine() // want `goroutine`
 }

@@ -3,6 +3,7 @@ package seedfix
 
 import (
 	"os"
+	"runtime"
 	"time"
 
 	"rtmlab/internal/rng"
@@ -31,6 +32,10 @@ func fromEnv() *rng.Rand {
 		_ = v
 	}
 	return rng.New(uint64(len(os.Getenv("SEED")))) // want `os\.Getenv`
+}
+
+func fromHost() *rng.Rand {
+	return rng.New(uint64(runtime.NumCPU())) // want `runtime\.NumCPU`
 }
 
 func suppressedOK() *rng.Rand {

@@ -25,6 +25,9 @@ import (
 const txnBannedEffects = EffWriteGlobal | EffWriteAlias | EffIO | EffChan | EffGo |
 	EffBoundary | EffUnknown
 
+// txnSafeKinds names the finding kinds that are not "host-effect".
+var txnSafeKinds = map[Effect]string{EffUnknown: "unresolved-call"}
+
 // isTxnBody reports whether the closure's signature marks it as an
 // atomic body: a parameter of type tm.Tx (or a direct *htm.Txn /
 // *stm.Txn backend handle).
@@ -63,14 +66,7 @@ func runTxnSafe(u *Unit) []Diagnostic {
 				return true
 			}
 			for _, cw := range sum.CapturedWrites() {
-				pos := lit.Pos()
-				if cw.Cause != nil {
-					pos = cw.Cause.Pos
-				}
-				detail := ""
-				if cw.Cause != nil {
-					detail = ": " + causeText(u.Fset, cw.Cause)
-				}
+				pos, detail := u.causeAt(cw.Cause, lit.Pos())
 				how := "mutates"
 				if cw.NonIdem {
 					how = "non-idempotently mutates"
@@ -79,26 +75,8 @@ func runTxnSafe(u *Unit) []Diagnostic {
 					"atomic body %s captured %s outside the Txn API; the body re-executes on abort%s",
 					how, cw.Var.Name(), detail))
 			}
-			for _, el := range effectLabels {
-				if el.Bit&txnBannedEffects == 0 || sum.Bits&el.Bit == 0 {
-					continue
-				}
-				c := sum.Cause(el.Bit)
-				pos := lit.Pos()
-				if c != nil {
-					pos = c.Pos
-				}
-				detail := ""
-				if c != nil {
-					detail = ": " + causeText(u.Fset, c)
-				}
-				kind := "host-effect"
-				if el.Bit == EffUnknown {
-					kind = "unresolved-call"
-				}
-				diags = append(diags, u.diagKind(pass, kind, pos,
-					"atomic body %s; the body re-executes on abort%s", el.Label, detail))
-			}
+			diags = append(diags, u.effectDiags(pass, sum, txnBannedEffects, lit.Pos(), txnSafeKinds,
+				"atomic body %s; the body re-executes on abort")...)
 			return true
 		})
 	}

@@ -126,22 +126,3 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	}
 	return false
 }
-
-// containsCallTo reports whether expr contains a call to a function in
-// pkgPath named one of names, returning the first match.
-func containsCallTo(info *types.Info, expr ast.Node, pkgPath string, names ...string) (types.Object, bool) {
-	var found types.Object
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if obj := calleeObj(info, call); isPkgFunc(obj, pkgPath, names...) {
-				found = obj
-				return false
-			}
-		}
-		return true
-	})
-	return found, found != nil
-}

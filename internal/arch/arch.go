@@ -119,12 +119,11 @@ type Energy struct {
 type Sharding struct {
 	// Shards selects the engine: 0 runs the classic serial min-clock
 	// scheduler; > 0 runs the epoch-synchronized sharded engine with that
-	// many shard workers; < 0 runs the sharded engine with an
-	// automatically chosen worker count (one per physical core, capped by
-	// the host's available parallelism). The simulated semantics of the
-	// sharded engine depend only on EpochCycles, never on the worker
-	// count, so output is byte-identical for any Shards >= 1 (and for
-	// auto).
+	// many shard workers (capped at one per physical core). Negative
+	// values are invalid; rtmlab resolves its "-shards -1" (auto) from
+	// the host before building the config. The simulated semantics of
+	// the sharded engine depend only on EpochCycles, never on the worker
+	// count, so output is byte-identical for any Shards >= 1.
 	Shards int
 	// EpochCycles is the coherence-epoch length in simulated cycles. All
 	// cross-shard state (cache misses, coherence directory updates,
@@ -246,6 +245,8 @@ func (c *Config) Validate() error {
 		return errf("at most 32 hardware threads are supported, got %d", c.MaxThreads())
 	case c.FreqGHz <= 0:
 		return errf("frequency must be positive, got %g", c.FreqGHz)
+	case c.Shard.Shards < 0:
+		return errf("shards must be 0 (classic engine) or a positive worker count, got %d", c.Shard.Shards)
 	}
 	for _, g := range []struct {
 		name string

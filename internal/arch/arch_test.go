@@ -55,6 +55,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Cores = 33; c.ThreadsPerCore = 1 },
 		func(c *Config) { c.Cores = 17; c.ThreadsPerCore = 2 },
 		func(c *Config) { c.L3.Ways = 32 }, // 8 MB / (64 B * 32) = 4096 sets: only the way limit fails
+		func(c *Config) { c.Shard.Shards = -1 },
 	}
 	for i, mutate := range cases {
 		c := Haswell()

@@ -30,11 +30,6 @@ func NewHashTable(m Mem, al Allocator, nBuckets int) HashTable {
 	return HashTable{Base: base, nBuckets: nBuckets}
 }
 
-// LoadHashTable rebuilds a handle from a header address.
-func LoadHashTable(m Mem, base uint64) HashTable {
-	return HashTable{Base: base, nBuckets: int(m.Load(w(base, htN)))}
-}
-
 // hashKey scrambles the key so sequential keys spread over buckets.
 func hashKey(k int64) uint64 {
 	x := uint64(k)

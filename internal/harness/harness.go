@@ -42,8 +42,9 @@ type Options struct {
 	Obs *obs.Collector
 	// Shards selects the intra-point engine (see arch.Sharding): 0 is the
 	// classic serial scheduler, > 0 the epoch-synchronized sharded engine
-	// with that many workers, < 0 auto (one per simulated physical core,
-	// capped by the host). Sharded results depend only on EpochCycles,
+	// with that many workers (capped at one per simulated physical core).
+	// rtmlab resolves "-shards -1" (auto) to the host's GOMAXPROCS before
+	// it fills this field. Sharded results depend only on EpochCycles,
 	// never on the worker count, so output is byte-identical for any
 	// Shards >= 1; it composes freely with Jobs (inter-point fan-out).
 	Shards int
@@ -123,11 +124,6 @@ func (o Options) obsSystem(cfg func() *tm.System, point int, label string) *tm.S
 		sys.SetRecorder(o.Obs.Recorder(point, label))
 	}
 	return sys
-}
-
-// DefaultOptions mirror a laptop-friendly but figure-quality setup.
-func DefaultOptions() Options {
-	return Options{Scale: stamp.Small, Seeds: 3}
 }
 
 // Table is a printable/exportable result grid.

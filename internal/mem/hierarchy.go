@@ -108,10 +108,12 @@ type Hierarchy struct {
 }
 
 // New builds a hierarchy for the given machine description with a fresh
-// backing store.
+// backing store. It panics when cfg fails arch.Config.Validate: the
+// cache model indexes sets by mask and tracks sharers in 32-bit masks,
+// so an invalid geometry would silently mis-simulate.
 func New(cfg *arch.Config) *Hierarchy {
-	if cfg.Cores > 32 {
-		panic("mem: at most 32 cores (directory sharer masks are 32 bits)")
+	if err := cfg.Validate(); err != nil {
+		panic("mem: " + err.Error())
 	}
 	h := &Hierarchy{
 		cfg: cfg,

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,22 @@ import (
 )
 
 func newH() *Hierarchy { return New(arch.Haswell()) }
+
+// TestNewRejectsInvalidConfig: New validates its config, so a geometry
+// the set mask cannot index (384 L2 sets) panics instead of silently
+// folding sets together.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	cfg := arch.Haswell()
+	cfg.L2.SizeBytes = 384 * arch.LineSize * cfg.L2.Ways
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "not a power of two") {
+			t.Fatalf("New with 384 L2 sets: recovered %v, want a power-of-two panic", r)
+		}
+	}()
+	New(cfg)
+}
 
 func TestBackingStoreRoundTrip(t *testing.T) {
 	m := NewMemory()

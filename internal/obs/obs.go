@@ -331,9 +331,6 @@ func (r *Recorder) Base() uint64 { return r.base }
 // recorded regions (see the wallNS field note on determinism).
 func (r *Recorder) AddWall(ns int64) { r.wallNS += ns }
 
-// WallNS returns the accumulated host wall-clock nanoseconds.
-func (r *Recorder) WallNS() int64 { return r.wallNS }
-
 func grow(tracks *[]*stream, i, limit int) *stream {
 	for len(*tracks) <= i {
 		*tracks = append(*tracks, &stream{limit: limit})
@@ -509,14 +506,6 @@ func (r *Recorder) ThreadEvents(tid int) []Event {
 		return nil
 	}
 	return r.threads[tid].events()
-}
-
-// CoreEvents returns the kept events of one core's memory track.
-func (r *Recorder) CoreEvents(core int) []Event {
-	if core < 0 || core >= len(r.cores) {
-		return nil
-	}
-	return r.cores[core].events()
 }
 
 // Threads returns the number of thread tracks touched.

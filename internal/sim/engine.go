@@ -59,10 +59,6 @@ func (p *Proc) Core() int { return p.core }
 // Cycles returns the thread's local clock.
 func (p *Proc) Cycles() uint64 { return p.clock }
 
-// Instructions returns the number of instructions the thread has executed,
-// including those on aborted (wasted) paths.
-func (p *Proc) Instructions() uint64 { return p.instr }
-
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 

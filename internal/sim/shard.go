@@ -34,8 +34,6 @@
 package sim
 
 import (
-	"runtime"
-
 	"rtmlab/internal/lineset"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
@@ -196,17 +194,7 @@ func (h *mergeHead) cycle(ps *procShard) (uint64, bool) {
 // shardWorkers resolves the configured shard count to a worker count for
 // a machine with the given number of cores.
 func shardWorkers(shards, cores int) int {
-	w := shards
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > cores {
-		w = cores
-	}
-	return w
+	return min(max(shards, 1), cores)
 }
 
 func newShardEngine(e *Engine) *shardEngine {

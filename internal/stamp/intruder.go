@@ -1,7 +1,6 @@
 package stamp
 
 import (
-	"fmt"
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -30,7 +29,6 @@ type Intruder struct {
 	flows   ds.RBTree // flowId -> flow record
 	decoded ds.Queue  // completed flow record addresses
 
-	dbg       hostPeek
 	expected  map[int64]int64 // flowId -> expected payload hash
 	attackIDs map[int64]bool
 	found     map[int64]bool
@@ -249,7 +247,6 @@ func (b *Intruder) detectLoop(c *tm.Ctx, tid int, found *[]int64, processed *int
 // Validate checks every flow was processed, reassembled in order, and all
 // planted attacks were detected.
 func (b *Intruder) Validate(sys *tm.System) error {
-	b.dbg = hostPeek{sys}
 	if b.processed != int64(b.Flows) {
 		return errf("intruder: processed %d flows, want %d", b.processed, b.Flows)
 	}
@@ -267,16 +264,4 @@ func (b *Intruder) Validate(sys *tm.System) error {
 		return errf("intruder: %d incomplete flows left in tree", n)
 	}
 	return nil
-}
-
-// Debug dumps incomplete flows (diagnostic helper).
-func (b *Intruder) Debug() {
-	fmt.Printf("decoded len=%d capture len=%d\n", b.decoded.Len(b.dbg), b.capture.Len(b.dbg))
-	b.flows.Each(b.dbg, func(id, recI int64) bool {
-		rec := uint64(recI)
-		lst := ds.List{Head: uint64(b.dbg.Load(rec + flList*arch.WordSize))}
-		fmt.Printf("flow %d: got=%d n=%d frags=%v\n", id,
-			b.dbg.Load(rec+flGot*arch.WordSize), b.dbg.Load(rec+flN*arch.WordSize), lst.Keys(b.dbg))
-		return true
-	})
 }

@@ -22,16 +22,10 @@ fi
 echo "== rtmvet (project invariants) =="
 # Project-specific static analysis: determinism in simulator packages,
 # allocation-free //rtm:hot functions, nil-guarded recorder calls,
-# deterministic RNG seeding. See scripts/lint.sh for local runs.
+# deterministic RNG seeding, transaction safety of atomic bodies and
+# mid-epoch freeze safety. Each finding names its pass ([txnsafe],
+# [shardfreeze], ...). See scripts/lint.sh for local runs.
 go run ./cmd/rtmvet ./...
-
-echo "== rtmvet transaction-safety gate (txnsafe + shardfreeze) =="
-# The interprocedural passes get their own named step so a transaction-
-# safety regression — host state mutated from an atomic body, frozen
-# shared state touched mid-epoch — is identifiable at a glance in CI
-# output. The full run above already includes them; this re-run is
-# cheap (the effect-summary engine is cached per load) and explicit.
-go run ./cmd/rtmvet -passes txnsafe,shardfreeze ./...
 
 echo "== go build =="
 go build ./...
@@ -69,13 +63,16 @@ echo "== sharded engine smoke (traced -shards 4 + output invariance) =="
 # tracecheck -sharded), and the experiment tables must be byte-identical
 # across shard counts (the engine's core guarantee; only the
 # .timing.json sidecar may differ). -shards 2 is rtmbench's setting:
-# the coordinator runs shard 0 and wakes one worker.
+# the coordinator runs shard 0 and wakes one worker. -shards -1 (auto)
+# is resolved to a worker count by rtmlab from the host's GOMAXPROCS.
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 4 -trace "$obsdir/trace4.json" -metrics "$obsdir/metrics4" table4 > "$obsdir/out4.txt"
 go run ./cmd/tracecheck -metrics "$obsdir/metrics4/table4.json" -sharded "$obsdir/trace4.json"
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 1 -j 1 table4 > "$obsdir/out1.txt"
 go run ./cmd/rtmlab -scale test -seeds 1 -shards 2 -j 1 table4 > "$obsdir/out2.txt"
+go run ./cmd/rtmlab -scale test -seeds 1 -shards -1 -j 1 table4 > "$obsdir/outauto.txt"
 cmp "$obsdir/out1.txt" "$obsdir/out4.txt"
 cmp "$obsdir/out1.txt" "$obsdir/out2.txt"
+cmp "$obsdir/out1.txt" "$obsdir/outauto.txt"
 
 echo "== flag validation =="
 # -epoch-cycles configures the sharded engine only; without -shards it

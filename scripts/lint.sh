@@ -8,7 +8,7 @@
 #   scripts/lint.sh ./internal/htm       # one package
 #   scripts/lint.sh -json ./...          # machine-readable findings
 #
-# rtmvet flags (-json, -fix, -passes, -disable, -list) pass through.
+# rtmvet flags (-json, -fix, -passes, -tags, -list) pass through.
 set -e
 cd "$(dirname "$0")/.."
 
