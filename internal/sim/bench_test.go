@@ -66,3 +66,17 @@ func BenchmarkRegionSetup(b *testing.B) {
 		Run(cfg, h, 4, 1, nil, func(p *Proc) { p.Work(1) })
 	}
 }
+
+// BenchmarkSpinWait measures waits run in place: thread 0 holds a flag
+// for b.N Work(10) ops while threads 1-3 wait on it in Spin (an L1-hit
+// Load and a Pause per iteration, 14 cycles). An op is the holder's
+// Work plus about two waiter steps per waiter, and every waiter step
+// runs in the holder's handoff loop, with no coroutine switch.
+func BenchmarkSpinWait(b *testing.B) {
+	cfg := arch.Haswell()
+	h := mem.New(cfg)
+	h.Poke(spinFlag, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	Run(cfg, h, 4, 1, nil, spinWaitBody(b.N))
+}

@@ -48,6 +48,15 @@ type Proc struct {
 	// (see pull); nil for an inline single-thread region.
 	resume  func() (struct{}, bool)
 	suspend func(struct{}) bool
+
+	// spinLoad and spinDone are the wait of a thread inside Spin on the
+	// classic engine, nil otherwise. spinV is the value its last Load
+	// step read, and spinLoaded says that its check-and-Pause step is
+	// next (see spinStep).
+	spinLoad   func() int64
+	spinDone   func(int64) bool
+	spinV      int64
+	spinLoaded bool
 }
 
 // ID returns the hardware-thread id (0-based).
@@ -197,10 +206,12 @@ func (p *Proc) Pause() {
 
 // yield hands the CPU model to the runnable thread with the smallest
 // clock. The fast path (this thread is still the minimum, or it is the
-// only live thread) costs two compares and no coroutine switch.
+// only live thread) costs two compares and no coroutine switch. While
+// e.noYield holds it returns at once: the region is single-threaded,
+// or a spin step runs and its caller makes the scheduling test itself.
 func (p *Proc) yield() {
 	e := p.eng
-	if e.single || len(e.heap) == 0 || p.less(e.heap[0]) {
+	if e.noYield || len(e.heap) == 0 || p.less(e.heap[0]) {
 		return
 	}
 	// Someone else is earlier (or equal with a smaller id): switch to it.
@@ -218,6 +229,96 @@ func (p *Proc) less(q *Proc) bool {
 		return p.clock < q.clock
 	}
 	return p.id < q.id
+}
+
+// Spin waits until done accepts a value that load reads. It is exactly
+//
+//	for { v := load(); if done(v) { return v }; p.Pause() }
+//
+// load must make exactly one simulated operation of p, as its last
+// action, and must not run inside a transaction; done must make none.
+// The sharded engine and single-thread regions run that loop as
+// written. On the classic engine the wait becomes state in p, and a
+// thread whose handoff loop picks p runs p's next step on its own stack
+// (see handoff) instead of switching to p's coroutine: a waiter costs
+// no coroutine switch until done holds. Every step makes the same
+// operations and the same scheduling test as the loop, in the same
+// order, so the simulation cannot tell the two apart.
+func (p *Proc) Spin(load func() int64, done func(int64) bool) int64 {
+	e := p.eng
+	if p.sh != nil || e.noYield {
+		for {
+			v := load()
+			if done(v) {
+				return v
+			}
+			p.Pause()
+		}
+	}
+	p.spinLoad, p.spinDone, p.spinLoaded = load, done, false
+	for !p.spinSteps() {
+		p.handoff()
+		if p.spinLoad == nil {
+			break // the wait ended in place, on another thread's stack
+		}
+	}
+	return p.spinV
+}
+
+// spinStep runs p's next wait step with yields off: the Load, or the
+// check and, while done rejects the value, the Pause. It reports
+// whether the wait ended, leaving the value in spinV.
+//
+//rtm:hot
+func (p *Proc) spinStep() bool {
+	e := p.eng
+	if !p.spinLoaded {
+		e.noYield = true
+		p.spinV = p.spinLoad()
+		e.noYield = false
+		p.spinLoaded = true
+		return false
+	}
+	if p.spinDone(p.spinV) {
+		p.spinLoad, p.spinDone = nil, nil
+		return true
+	}
+	e.noYield = true
+	p.Pause()
+	e.noYield = false
+	p.spinLoaded = false
+	return false
+}
+
+// spinSteps runs p's wait steps while p stays the scheduler's pick,
+// making after each the test p's yield would make. It reports whether
+// the wait ended; if not, it has handed the pick on as yield does, and
+// e.next is the thread to run.
+//
+//rtm:hot
+func (p *Proc) spinSteps() bool {
+	e := p.eng
+	for !p.spinStep() {
+		if len(e.heap) != 0 && !p.less(e.heap[0]) {
+			e.switches++
+			e.next = e.replaceMin(p)
+			return false
+		}
+	}
+	return true
+}
+
+// spinInPlace runs waiter p's steps on the stack of the thread (or
+// Run's loop) that picked it, as spinSteps does. A panic in a step
+// leaves it naming p, so that no frame of the thread whose stack it
+// unwinds, such as an HTM attempt's recover, takes it for its own.
+func (p *Proc) spinInPlace() bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: thread %d panicked in a spin wait run in place: %v", p.id, r))
+		}
+	}()
+	return p.spinSteps()
 }
 
 // block parks the thread until another thread unblocks it (see Barrier).
@@ -240,13 +341,18 @@ func (p *Proc) block() {
 // suspends to the thread that resumed it, which runs this loop in turn:
 // every thread above the pick suspends down to it, one switch each.
 // When a thread p resumed finishes, its coroutine returns here and the
-// loop goes on with finish's pick. A body panic leaves every resume on
-// the chain and reaches Run's caller.
+// loop goes on with finish's pick. A pick waiting in Spin is not
+// switched to: the loop runs its steps here until its wait ends or it
+// hands the pick on. A body panic leaves every resume on the chain and
+// reaches Run's caller.
 //
 //rtm:hot
 func (p *Proc) handoff() {
 	e := p.eng
 	for q := e.next; q != p; q = e.next {
+		if q.spinLoad != nil && !q.spinInPlace() {
+			continue
+		}
 		e.coroSwitches++
 		if q.nested {
 			p.park()
@@ -295,7 +401,10 @@ type Engine struct {
 	heap      []*Proc
 	remaining int
 	next      *Proc // the thread the classic engine resumes next; nil ends the region
-	single    bool  // fast path for single-threaded regions
+
+	// noYield makes every yield return at once: for the whole of a
+	// single-thread region, and while a spin step runs (see spinStep).
+	noYield bool
 
 	// Hyper-threading model: when coreLive[c] > 1 the sibling threads
 	// share the core pipeline and every op costs htNum/htDen x its solo
@@ -371,7 +480,7 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 		procs:     make([]*Proc, 0, n),
 		heap:      make([]*Proc, 0, n),
 		remaining: n,
-		single:    n == 1 && !sharded,
+		noYield:   n == 1 && !sharded,
 		coreLive:  make([]int, cfg.Cores),
 		htNum:     31,
 		htDen:     20,
@@ -403,10 +512,10 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			setup(p)
 		}
 	}
-	if e.single {
+	if e.noYield {
 		// Single-threaded regions need no scheduling: run the body inline
 		// on the caller's goroutine, skipping the coroutines and handoffs
-		// entirely. Every op's yield takes the e.single fast path.
+		// entirely. Every op's yield takes the e.noYield fast path.
 		p := e.procs[0]
 		body(p)
 		e.coreLive[p.core]--
@@ -429,13 +538,17 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			// Every thread but the first starts in the heap. The loop
 			// resumes the bottom of the resume chain (see handoff): thread
 			// 0 first, then, each time the bottom thread finishes,
-			// finish's pick. A panic in a body (a deadlock, say) leaves
-			// resume and reaches Run's caller; the other threads stay
+			// finish's pick, whose Spin steps, if it waits, run here
+			// first. A panic in a body (a deadlock, say) leaves resume
+			// and reaches Run's caller; the other threads stay
 			// suspended.
 			for i := n - 1; i >= 1; i-- {
 				e.push(e.procs[i])
 			}
 			for next := e.procs[0]; next != nil; next = e.next {
+				if next.spinLoad != nil && !next.spinInPlace() {
+					continue
+				}
 				next.resume()
 			}
 		}

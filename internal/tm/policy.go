@@ -314,11 +314,12 @@ func (c *Ctx) recordAbort(cause string, oc obs.Cause, line uint64, by int) {
 }
 
 // awaitClear spins until the guard word no longer excludes hardware
-// attempts.
+// attempts. It runs between attempts, outside any transaction, so its
+// Load is the one operation sim.Proc.Spin allows (waitLoad and waitDone,
+// made once per thread in attach, read the guard from c.waitGuard).
 func (c *Ctx) awaitClear(g guard) {
-	for g.held(c.Load(guards[g].addr)) {
-		c.Pause()
-	}
+	c.waitGuard = g
+	c.P.Spin(c.waitLoad, c.waitDone)
 }
 
 // acquire takes the guard for a direct or software phase. Taking a lock

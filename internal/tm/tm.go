@@ -264,6 +264,8 @@ func (s *System) attach(p *sim.Proc) *Ctx {
 		c.rmwOld = c.sys.H.Peek(c.rmwAddr)
 		c.sys.H.Poke(c.rmwAddr, c.rmwF(c.rmwOld))
 	}
+	c.waitLoad = func() int64 { return c.Load(guards[c.waitGuard].addr) }
+	c.waitDone = func(v int64) bool { return !c.waitGuard.held(v) }
 	if s.HTM != nil {
 		c.htx = s.HTM.Attach(p)
 	}
@@ -309,6 +311,12 @@ type Ctx struct {
 	rmwAddr uint64
 	rmwF    func(int64) int64
 	rmwOld  int64
+
+	// waitLoad and waitDone are awaitClear's persistent Spin arguments,
+	// for the guard in waitGuard, so a wait allocates nothing.
+	waitLoad  func() int64
+	waitDone  func(int64) bool
+	waitGuard guard
 }
 
 // cnt returns the counter set for this thread's current context:

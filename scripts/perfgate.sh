@@ -11,7 +11,7 @@
 # network needed), compiles both revisions' htm, sim and mem test
 # binaries with go test -c, and runs 6 pairs at -test.benchtime
 # ${BENCH_GATE_TIME:-0.3s}: odd pairs run the base first, even pairs the
-# head. The sim side runs only the YieldHandoff benchmarks
+# head. The sim side runs only the YieldHandoff and SpinWait benchmarks
 # (YieldFastPath, a few ns, swings by about 20% from run to run), the mem
 # side only the Load, Store and L3Hit benchmarks, which drive the cache
 # hierarchy (MemoryReadWrite, the flat backing store alone, is left out);
@@ -43,12 +43,13 @@ done
 go build -o "$tmp/benchcmp" ./cmd/benchcmp
 
 # run <side> appends one run of that side's htm benchmarks to
-# $tmp/htm-<side>.txt, of its sim handoff benchmarks to $tmp/sim-<side>.txt
-# and of its mem cache-hierarchy benchmarks to $tmp/mem-<side>.txt.
+# $tmp/htm-<side>.txt, of its sim handoff and spin-wait benchmarks to
+# $tmp/sim-<side>.txt and of its mem cache-hierarchy benchmarks to
+# $tmp/mem-<side>.txt.
 run() {
 	(cd internal/htm && "$tmp/htm-$1.test" -test.run '^$' -test.bench . \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/htm-$1.txt"
-	(cd internal/sim && "$tmp/sim-$1.test" -test.run '^$' -test.bench 'YieldHandoff' \
+	(cd internal/sim && "$tmp/sim-$1.test" -test.run '^$' -test.bench 'YieldHandoff|SpinWait' \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/sim-$1.txt"
 	(cd internal/mem && "$tmp/mem-$1.test" -test.run '^$' -test.bench 'Load|Store|L3Hit' \
 		-test.benchtime "${BENCH_GATE_TIME:-0.3s}" -test.timeout 10m) >> "$tmp/mem-$1.txt"
@@ -67,7 +68,7 @@ done
 status=0
 echo "== compare internal/htm (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/htm-base.txt" "$tmp/htm-head.txt" || status=1
-echo "== compare internal/sim handoff (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
+echo "== compare internal/sim handoff and spin wait (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/sim-base.txt" "$tmp/sim-head.txt" || status=1
 echo "== compare internal/mem cache hierarchy (head/base, tolerance ${BENCH_TOL_PCT:-10}%) =="
 "$tmp/benchcmp" -tol-pct "${BENCH_TOL_PCT:-10}" "$tmp/mem-base.txt" "$tmp/mem-head.txt" || status=1
