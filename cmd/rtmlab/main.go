@@ -8,8 +8,7 @@
 //	rtmlab -list
 //	rtmlab all
 //
-// Experiments: fig1 fig2 table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-// fig10 (also emits fig11 and fig12) table4 table5.
+// rtmlab -list prints the experiment ids.
 //
 // Independent experiment points run concurrently on -j workers (default:
 // one per CPU); results are collected by point index, so the output is
@@ -38,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -69,6 +69,10 @@ func main() {
 
 	if !stm.ValidProtocol(*stmProto) {
 		fmt.Fprintf(os.Stderr, "unknown -stm-protocol %q (want tinystm, tl2 or norec)\n", *stmProto)
+		os.Exit(2)
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "invalid -seeds %d (want a positive count)\n", *seeds)
 		os.Exit(2)
 	}
 	if *shards < -1 {
@@ -131,6 +135,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "\nrun `rtmlab -list` for experiment ids, or `rtmlab all`")
 		os.Exit(2)
 	}
+	// Check every id before profiling or running anything: an unknown
+	// id found mid-run would exit after the earlier experiments' output
+	// and leave a -cpuprofile file truncated.
+	byID := make(map[string]func(io.Writer, harness.Options), len(exps))
+	for _, e := range exps {
+		byID[e.ID] = e.Run
+	}
+	for _, id := range args {
+		if _, ok := byID[id]; !ok && id != "all" {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
+			os.Exit(2)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -146,23 +163,11 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	run := func(id string) bool {
-		for _, e := range exps {
-			if e.ID == id {
-				e.Run(os.Stdout, o)
-				return true
-			}
-		}
-		return false
-	}
 	for _, id := range args {
 		if id == "all" {
 			harness.All(os.Stdout, o)
-			continue
-		}
-		if !run(id) {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
+		} else {
+			byID[id](os.Stdout, o)
 		}
 	}
 

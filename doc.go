@@ -9,6 +9,5 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for measured-versus-paper results. The implementation
-// lives under internal/ and the runnable entry points under cmd/rtmlab
-// and examples/.
+// lives under internal/ and the runnable entry points under cmd/.
 package rtmlab

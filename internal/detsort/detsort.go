@@ -14,7 +14,6 @@ package detsort
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // Keys returns the keys of m in ascending order. The result is freshly
@@ -26,16 +25,5 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	return keys
-}
-
-// KeysFunc returns the keys of m ordered by less. Use for key types that
-// are not cmp.Ordered or when a non-natural order is wanted.
-func KeysFunc[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
 }

@@ -17,11 +17,3 @@ func TestKeys(t *testing.T) {
 		t.Fatalf("Keys(nil) = %v", got)
 	}
 }
-
-func TestKeysFunc(t *testing.T) {
-	m := map[string]int{"bb": 1, "a": 2, "ccc": 3}
-	got := KeysFunc(m, func(a, b string) bool { return len(a) > len(b) })
-	if !reflect.DeepEqual(got, []string{"ccc", "bb", "a"}) {
-		t.Fatalf("KeysFunc = %v", got)
-	}
-}

@@ -162,21 +162,17 @@ func TestListPushFrontAndRemove(t *testing.T) {
 	}
 }
 
-func TestListPopFrontAndClear(t *testing.T) {
+func TestListClear(t *testing.T) {
 	m, al := env()
 	l := NewList(m, al)
 	l.Insert(m, al, 1, 11)
 	l.Insert(m, al, 2, 22)
-	k, d, ok := l.PopFront(m, al)
-	if !ok || k != 1 || d != 11 {
-		t.Fatalf("pop = (%d,%d,%v)", k, d, ok)
-	}
 	l.Clear(m, al)
 	if l.Len(m) != 0 {
 		t.Fatal("clear failed")
 	}
-	if _, _, ok := l.PopFront(m, al); ok {
-		t.Fatal("pop from empty")
+	if _, ok := l.Find(m, 1); ok {
+		t.Fatal("find after clear")
 	}
 }
 
@@ -277,70 +273,11 @@ func TestRBTreeNodeAccess(t *testing.T) {
 	if n == 0 {
 		t.Fatal("GetNode failed")
 	}
-	if NodeKey(m, n) != 7 || NodeData(m, n) != 70 {
-		t.Fatal("node accessors wrong")
-	}
-	SetNodeData(m, n, 71)
-	if v, _ := tr.Get(m, 7); v != 71 {
-		t.Fatal("SetNodeData not visible")
+	if NodeData(m, n) != 70 {
+		t.Fatal("NodeData wrong")
 	}
 	if tr.GetNode(m, 8) != 0 {
 		t.Fatal("GetNode on absent key")
-	}
-}
-
-// --- Vector ----------------------------------------------------------------
-
-func TestVectorPushPopSort(t *testing.T) {
-	m, al := env()
-	v := NewVector(m, al, 2)
-	vals := []int64{9, 2, 7, 4, 4, 1, 8}
-	for _, x := range vals {
-		v.PushBack(m, al, x)
-	}
-	if v.Len(m) != len(vals) {
-		t.Fatalf("len = %d", v.Len(m))
-	}
-	v.Sort(m)
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, want := range sorted {
-		if v.At(m, i) != want {
-			t.Fatalf("after sort at(%d) = %d, want %d", i, v.At(m, i), want)
-		}
-	}
-	if x, ok := v.PopBack(m); !ok || x != sorted[len(sorted)-1] {
-		t.Fatal("PopBack wrong")
-	}
-	v.Clear(m)
-	if _, ok := v.PopBack(m); ok {
-		t.Fatal("PopBack after clear")
-	}
-}
-
-func TestVectorSortProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		m, al := env()
-		v := NewVector(m, al, 1)
-		r := rng.New(seed)
-		n := r.Intn(200)
-		var model []int64
-		for i := 0; i < n; i++ {
-			x := int64(r.Uint32() % 1000)
-			v.PushBack(m, al, x)
-			model = append(model, x)
-		}
-		v.Sort(m)
-		sort.Slice(model, func(i, j int) bool { return model[i] < model[j] })
-		for i := range model {
-			if v.At(m, i) != model[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

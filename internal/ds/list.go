@@ -114,19 +114,6 @@ func (l List) Remove(m Mem, al Allocator, key int64) bool {
 	return false
 }
 
-// PopFront unlinks the first node and returns its key and data.
-func (l List) PopFront(m Mem, al Allocator) (key, data int64, ok bool) {
-	first := i2a(m.Load(w(l.Head, lNext)))
-	if first == 0 {
-		return 0, 0, false
-	}
-	key = m.Load(w(first, lKey))
-	data = m.Load(w(first, lData))
-	m.Store(w(l.Head, lNext), m.Load(w(first, lNext)))
-	al.Free(first, ListNodeWords)
-	return key, data, true
-}
-
 // Each calls fn for every (key, data) pair in list order; fn returning
 // false stops the walk.
 func (l List) Each(m Mem, fn func(key, data int64) bool) {

@@ -37,9 +37,6 @@ func (q Queue) Len(m Mem) int {
 	return int(m.Load(w(q.Base, qTail)) - m.Load(w(q.Base, qHead)))
 }
 
-// Empty reports whether the queue is empty.
-func (q Queue) Empty(m Mem) bool { return q.Len(m) == 0 }
-
 // Push appends v, growing the buffer when full. Growth allocates a new
 // slot array double the size and copies live elements (like STAMP's
 // queue_push).

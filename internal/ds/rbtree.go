@@ -45,12 +45,6 @@ func NewRBTree(m Mem, al Allocator) RBTree {
 	return RBTree{Base: base, nil_: nilN}
 }
 
-// LoadRBTree rebuilds a handle from a header address (for trees reached
-// through pointers stored in other structures).
-func LoadRBTree(m Mem, base uint64) RBTree {
-	return RBTree{Base: base, nil_: i2a(m.Load(w(base, tNil)))}
-}
-
 func (t RBTree) root(m Mem) uint64       { return i2a(m.Load(w(t.Base, tRoot))) }
 func (t RBTree) setRoot(m Mem, n uint64) { m.Store(w(t.Base, tRoot), a2i(n)) }
 func left(m Mem, n uint64) uint64        { return i2a(m.Load(w(n, nLeft))) }
@@ -93,7 +87,7 @@ func (t RBTree) Get(m Mem, k int64) (data int64, ok bool) {
 func (t RBTree) Contains(m Mem, k int64) bool { return t.find(m, k) != t.nil_ }
 
 // GetNode returns the node address for key (0 if absent). Callers can use
-// NodeData/SetNodeData to avoid redundant lookups — the vacation
+// NodeData to avoid redundant lookups — the vacation
 // optimization of §V-B.
 func (t RBTree) GetNode(m Mem, k int64) uint64 {
 	n := t.find(m, k)
@@ -105,22 +99,6 @@ func (t RBTree) GetNode(m Mem, k int64) uint64 {
 
 // NodeData reads the data field of a node returned by GetNode.
 func NodeData(m Mem, node uint64) int64 { return m.Load(w(node, nData)) }
-
-// SetNodeData writes the data field of a node returned by GetNode.
-func SetNodeData(m Mem, node uint64, data int64) { m.Store(w(node, nData), data) }
-
-// NodeKey reads the key field of a node returned by GetNode.
-func NodeKey(m Mem, node uint64) int64 { return m.Load(w(node, nKey)) }
-
-// Update sets the data under key, reporting whether the key existed.
-func (t RBTree) Update(m Mem, k, data int64) bool {
-	n := t.find(m, k)
-	if n == t.nil_ {
-		return false
-	}
-	m.Store(w(n, nData), data)
-	return true
-}
 
 func (t RBTree) leftRotate(m Mem, x uint64) {
 	y := right(m, x)

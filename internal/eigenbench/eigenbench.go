@@ -297,13 +297,3 @@ func (p Params) Sequential() Params {
 	q.Loops = p.Loops * p.Threads
 	return q
 }
-
-// Comparison runs p under the given backend and its sequential baseline on
-// fresh machines and returns (result, speedup, energy efficiency).
-func Comparison(mk func(tm.Backend) *tm.System, p Params, backend tm.Backend, seed uint64) (Result, float64, float64) {
-	seqRes := Run(mk(tm.Seq), p.Sequential(), seed)
-	res := Run(mk(backend), p, seed)
-	speedup := float64(seqRes.Cycles) / float64(res.Cycles)
-	eff := seqRes.EnergyJ / res.EnergyJ
-	return res, speedup, eff
-}

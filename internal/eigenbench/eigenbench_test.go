@@ -92,8 +92,9 @@ func TestSmallWSHTMFewAborts(t *testing.T) {
 }
 
 func TestHTMSpeedsUpDisjointWork(t *testing.T) {
-	_, speedup, _ := Comparison(mk, small(4, 100), tm.HTM, 1)
-	if speedup < 2 {
+	p := small(4, 100)
+	seq := Run(mk(tm.Seq), p.Sequential(), 1)
+	if speedup := float64(seq.Cycles) / float64(Run(mk(tm.HTM), p, 1).Cycles); speedup < 2 {
 		t.Fatalf("4-thread disjoint speedup = %g, want > 2", speedup)
 	}
 }

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -201,29 +202,25 @@ func (t *Table) WriteCSV(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, t.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	esc := func(s string) string {
 		if strings.ContainsAny(s, ",\"\n") {
 			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 		}
 		return s
 	}
+	var buf bytes.Buffer
 	writeRow := func(cells []string) {
 		out := make([]string, len(cells))
 		for i, c := range cells {
 			out[i] = esc(c)
 		}
-		fmt.Fprintln(f, strings.Join(out, ","))
+		fmt.Fprintln(&buf, strings.Join(out, ","))
 	}
 	writeRow(t.Header)
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	return nil
+	return os.WriteFile(filepath.Join(dir, t.ID+".csv"), buf.Bytes(), 0o644)
 }
 
 // Emit prints the table and writes its CSV, reporting CSV errors inline.

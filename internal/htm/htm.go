@@ -139,12 +139,6 @@ type Txn struct {
 // Active reports whether a transaction is in flight.
 func (t *Txn) Active() bool { return t.active }
 
-// ReadSetSize returns the current number of read-set lines.
-func (t *Txn) ReadSetSize() int { return t.readSet.Len() }
-
-// WriteSetSize returns the current number of write-set lines.
-func (t *Txn) WriteSetSize() int { return t.writeSet.Len() }
-
 // System is the machine-wide RTM model shared by all hardware threads.
 type System struct {
 	cfg      *arch.Config

@@ -167,6 +167,44 @@ func TestWriteCapacityWall(t *testing.T) {
 	}
 }
 
+// TestWriteCapacityWallBusySibling is Fig. 9's hyper-threading effect: a
+// sibling thread streaming through its own data shares core 0's L1, so
+// the largest write set that commits is about half the L1 (255 of 512
+// lines on the i7-4770, where it is 512 alone).
+func TestWriteCapacityWallBusySibling(t *testing.T) {
+	cfg := arch.Haswell()
+	cfg.TSX.TickPeriod = 0
+	probe := func(n int) *Abort {
+		h := mem.New(cfg)
+		sys := NewSystem(cfg, h, nil)
+		b := sim.NewBarrier(5)
+		var abort *Abort
+		sim.Run(cfg, h, 5, 1, nil, func(p *sim.Proc) {
+			tx := sys.Attach(p)
+			switch p.ID() {
+			case 0:
+				abort = once(sys, tx, func() {
+					for i := 0; i < n; i++ {
+						tx.Store(uint64(i)*arch.LineSize, 1)
+					}
+				})
+			case 4: // shares core 0 with thread 0
+				for i := 0; i < 4096; i++ {
+					p.Touch(64<<20 + uint64(i)*arch.LineSize)
+				}
+			}
+			b.Wait(p)
+		})
+		return abort
+	}
+	if a := probe(255); a != nil {
+		t.Errorf("255 lines beside a busy sibling: unexpected abort %v", a)
+	}
+	if a := probe(256); a == nil || a.Cause != CauseWriteCapacity {
+		t.Errorf("256 lines beside a busy sibling: abort = %v, want write capacity", a)
+	}
+}
+
 func TestReadCapacityWall(t *testing.T) {
 	cfg := tinyCfg()
 	l3Lines := cfg.L3.Lines() // 32

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -425,12 +426,9 @@ func (c *Collector) WriteMetrics(dir string) error {
 		if err := os.WriteFile(filepath.Join(dir, name+".json"), append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		f, err := os.Create(filepath.Join(dir, name+".txt"))
-		if err != nil {
-			return err
-		}
-		writeSummaryDoc(f, doc)
-		if err := f.Close(); err != nil {
+		var txt bytes.Buffer
+		writeSummaryDoc(&txt, doc)
+		if err := os.WriteFile(filepath.Join(dir, name+".txt"), txt.Bytes(), 0o644); err != nil {
 			return err
 		}
 		if td := g.timing(); len(td.Points) > 0 {

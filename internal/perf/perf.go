@@ -1,12 +1,10 @@
 // Package perf provides a small named-counter registry modelled on the
 // libpfm4 workflow the paper uses: components increment named events and
-// the harness snapshots, subtracts and tabulates them.
+// the harness snapshots and tabulates them.
 //
 // The RTM event names follow the paper's libpfm4 spellings, e.g.
 // "RTM_RETIRED:START", "RTM_RETIRED:ABORTED_MISC1".
 package perf
-
-import "sort"
 
 // Set is a collection of named counters. The zero value is not usable; use
 // NewSet. Sets are not safe for concurrent use: simulated threads that
@@ -36,21 +34,6 @@ func (s *Set) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, len(s.m))
 	for k, v := range s.m {
 		out[k] = v
-	}
-	return out
-}
-
-// Sub returns the per-counter difference current - prev for every counter
-// present in either.
-func (s *Set) Sub(prev map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v - prev[k]
-	}
-	for k := range prev {
-		if _, ok := s.m[k]; !ok {
-			out[k] = 0 - prev[k]
-		}
 	}
 	return out
 }
@@ -91,23 +74,6 @@ func (s *Set) MergeStaged() {
 		}
 		clear(st.m)
 	}
-}
-
-// Reset zeroes every counter.
-func (s *Set) Reset() {
-	for k := range s.m {
-		delete(s.m, k)
-	}
-}
-
-// Names returns the counter names in sorted order.
-func (s *Set) Names() []string {
-	names := make([]string, 0, len(s.m))
-	for k := range s.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Intel RTM performance-counter names used throughout the harness (see

@@ -86,58 +86,3 @@ func Map[T any](jobs, n int, f func(i int) T) []T {
 	}
 	return out
 }
-
-// ForEach is Map for points that produce no value.
-func ForEach(jobs, n int, f func(i int)) {
-	Map(jobs, n, func(i int) struct{} {
-		f(i)
-		return struct{}{}
-	})
-}
-
-// Pool runs heterogeneous tasks on a bounded worker set. It is the
-// irregular-shape sibling of Map: use it when points are discovered
-// incrementally rather than indexed up front. Results must be written to
-// caller-owned slots (one per task) to keep collection deterministic.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu     sync.Mutex
-	panicV any
-}
-
-// NewPool returns a pool running at most jobs tasks concurrently
-// (jobs < 1 means one per CPU).
-func NewPool(jobs int) *Pool {
-	return &Pool{sem: make(chan struct{}, Jobs(jobs))}
-}
-
-// Go schedules f, blocking while the pool is saturated.
-func (p *Pool) Go(f func()) {
-	p.sem <- struct{}{}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.mu.Lock()
-				if p.panicV == nil {
-					p.panicV = r
-				}
-				p.mu.Unlock()
-			}
-			<-p.sem
-			p.wg.Done()
-		}()
-		f()
-	}()
-}
-
-// Wait blocks until every scheduled task finishes, re-raising the first
-// task panic, if any, on the caller's goroutine.
-func (p *Pool) Wait() {
-	p.wg.Wait()
-	if p.panicV != nil {
-		panic(p.panicV)
-	}
-}

@@ -29,7 +29,7 @@ func TestMapEmpty(t *testing.T) {
 
 func TestMapRunsEveryPointOnce(t *testing.T) {
 	var calls [257]atomic.Int32
-	ForEach(8, len(calls), func(i int) { calls[i].Add(1) })
+	Map(8, len(calls), func(i int) int32 { return calls[i].Add(1) })
 	for i := range calls {
 		if n := calls[i].Load(); n != 1 {
 			t.Fatalf("point %d ran %d times", i, n)
@@ -40,7 +40,7 @@ func TestMapRunsEveryPointOnce(t *testing.T) {
 func TestMapConcurrencyBound(t *testing.T) {
 	const jobs = 3
 	var live, peak atomic.Int32
-	ForEach(jobs, 64, func(i int) {
+	Map(jobs, 64, func(i int) int32 {
 		n := live.Add(1)
 		for {
 			p := peak.Load()
@@ -49,7 +49,7 @@ func TestMapConcurrencyBound(t *testing.T) {
 			}
 		}
 		runtime.Gosched()
-		live.Add(-1)
+		return live.Add(-1)
 	})
 	if p := peak.Load(); p > jobs {
 		t.Fatalf("observed %d concurrent workers, cap %d", p, jobs)
@@ -81,45 +81,4 @@ func TestJobs(t *testing.T) {
 	if Jobs(-1) != runtime.GOMAXPROCS(0) {
 		t.Fatal("Jobs(-1) should default to GOMAXPROCS")
 	}
-}
-
-func TestPool(t *testing.T) {
-	p := NewPool(4)
-	var sum atomic.Int64
-	results := make([]int, 50)
-	for i := 0; i < 50; i++ {
-		i := i
-		p.Go(func() {
-			results[i] = i + 1
-			sum.Add(1)
-		})
-	}
-	p.Wait()
-	if sum.Load() != 50 {
-		t.Fatalf("ran %d tasks", sum.Load())
-	}
-	for i, v := range results {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d", i, v)
-		}
-	}
-}
-
-func TestPoolPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "pow" {
-			t.Fatalf("recovered %v, want pow", r)
-		}
-	}()
-	p := NewPool(2)
-	for i := 0; i < 8; i++ {
-		i := i
-		p.Go(func() {
-			if i == 3 {
-				panic("pow")
-			}
-		})
-	}
-	p.Wait()
-	t.Fatal("Wait returned after panic")
 }

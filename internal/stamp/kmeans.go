@@ -43,20 +43,6 @@ func NewKMeans(s Scale) *KMeans {
 	}
 }
 
-// NewKMeansLow returns STAMP's kmeans-low contention configuration (many
-// clusters: updates spread over more accumulators).
-func NewKMeansLow(s Scale) *KMeans {
-	k := NewKMeans(s)
-	k.K = k.K * 5 / 2
-	return k
-}
-
-// NewKMeansHigh returns STAMP's kmeans-high contention configuration (few
-// clusters: updates concentrate).
-func NewKMeansHigh(s Scale) *KMeans {
-	return NewKMeans(s)
-}
-
 // Name implements Benchmark.
 func (k *KMeans) Name() string { return "kmeans" }
 

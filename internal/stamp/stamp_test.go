@@ -205,28 +205,3 @@ func TestVacationMixedSessions(t *testing.T) {
 		}
 	}
 }
-
-func TestVacationLowHighConfigs(t *testing.T) {
-	low := NewVacationLow(Test)
-	high := NewVacationHigh(Test)
-	if low.Queries >= high.Queries || low.UserPct <= high.UserPct {
-		t.Fatal("low/high configurations not ordered as STAMP's")
-	}
-	for name, v := range map[string]*Vacation{"low": low, "high": high} {
-		if _, err := Run(v, tm.HTM, 2, 5, nil); err != nil {
-			t.Errorf("vacation-%s: %v", name, err)
-		}
-	}
-}
-
-func TestKMeansLowHighConfigs(t *testing.T) {
-	low, high := NewKMeansLow(Test), NewKMeansHigh(Test)
-	if low.K <= high.K {
-		t.Fatal("kmeans-low must use more clusters than kmeans-high")
-	}
-	for name, k := range map[string]*KMeans{"low": low, "high": high} {
-		if _, err := Run(k, tm.STM, 2, 3, nil); err != nil {
-			t.Errorf("kmeans-%s: %v", name, err)
-		}
-	}
-}

@@ -65,24 +65,6 @@ func (v *Vacation) Name() string {
 	return "vacation"
 }
 
-// NewVacationLow returns STAMP's vacation-low contention configuration
-// (few queries per task, almost all user sessions).
-func NewVacationLow(s Scale) *Vacation {
-	v := NewVacation(s, false)
-	v.Queries = 2
-	v.UserPct = 98
-	return v
-}
-
-// NewVacationHigh returns STAMP's vacation-high contention configuration
-// (more queries per task, more table mutation sessions).
-func NewVacationHigh(s Scale) *Vacation {
-	v := NewVacation(s, false)
-	v.Queries = 4
-	v.UserPct = 90
-	return v
-}
-
 // vacQuery is one item examined during a session.
 type vacQuery struct {
 	tbl int

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations.
@@ -57,72 +56,10 @@ func (s *Sample) CV() float64 {
 	return s.StdDev() / math.Abs(m)
 }
 
-// Min returns the smallest observation (+Inf when empty).
-func (s *Sample) Min() float64 {
-	min := math.Inf(1)
-	for _, x := range s.xs {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the largest observation (-Inf when empty).
-func (s *Sample) Max() float64 {
-	max := math.Inf(-1)
-	for _, x := range s.xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Median returns the median (0 when empty).
-func (s *Sample) Median() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.xs...)
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
 // String renders "mean±sd" with sensible precision.
 func (s *Sample) String() string {
 	if s.N() < 2 {
 		return fmt.Sprintf("%.2f", s.Mean())
 	}
 	return fmt.Sprintf("%.2f±%.2f", s.Mean(), s.StdDev())
-}
-
-// Speedup is a convenience for baseline/measure ratios with error
-// propagation left to the caller: it simply guards division by zero.
-func Speedup(baseline, measured float64) float64 {
-	if measured == 0 {
-		return 0
-	}
-	return baseline / measured
-}
-
-// GeoMean returns the geometric mean of positive observations (0 if any
-// observation is non-positive or the sample is empty). The STAMP summary
-// rows use it, as is conventional for normalized benchmark suites.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

@@ -227,13 +227,6 @@ func (s *System) Attach(p *sim.Proc) *Txn {
 // Active reports whether a transaction is in flight.
 func (t *Txn) Active() bool { return t.active }
 
-// ReadSetSize returns the number of read-set entries (version-based
-// plus value-based).
-func (t *Txn) ReadSetSize() int { return len(t.reads) + len(t.vreads) }
-
-// WriteSetSize returns the number of buffered writes.
-func (t *Txn) WriteSetSize() int { return len(t.writes) }
-
 // Begin starts a transaction: the protocol establishes its snapshot
 // (a real, timed metadata load — the clock or sequence-lock line is the
 // classic STM scalability bottleneck).
