@@ -32,6 +32,8 @@
 // loadable in Perfetto (about://tracing), -metrics writes per-experiment
 // JSON sidecars plus text summaries. Both outputs are byte-identical at
 // any -j because recorders merge by (experiment, point, sub) key.
+// Recorders store events only for -trace; -metrics alone needs their
+// counts, and its sidecars are the same bytes with or without -trace.
 package main
 
 import (
@@ -60,7 +62,7 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 		metricsDir = flag.String("metrics", "", "directory for per-experiment JSON metrics + text summaries")
-		traceLimit = flag.Int("trace-limit", 1<<16, "max events kept per thread track (0 = unbounded)")
+		traceLimit = flag.Int("trace-limit", 1<<16, "max events kept per thread track for -trace (0 = unbounded); events are stored only under -trace, and with -metrics alone this limit only sets dropped_events")
 		shards     = flag.Int("shards", 0, "intra-point engine shards: 0 = classic serial engine, N > 0 = N epoch-synchronized workers, -1 = auto (min(GOMAXPROCS, simulated cores)); output is byte-identical for any shards >= 1")
 		epochCyc   = flag.Uint64("epoch-cycles", 0, "coherence-epoch length in simulated cycles for -shards (0 = default)")
 		stmProto   = flag.String("stm-protocol", stm.TinySTMName, "STM concurrency-control protocol: tinystm (encounter-time locking) | tl2 (commit-time locking) | norec (single sequence lock, value validation, no lock array); a semantic knob, byte-identical per setting at any -j/-shards")
@@ -103,6 +105,7 @@ func main() {
 	}
 	if *traceOut != "" || *metricsDir != "" {
 		o.Obs = obs.NewCollector(*traceLimit)
+		o.Obs.Rings = *traceOut != "" // only the trace reads stored events
 		ec := *epochCyc
 		if *shards != 0 && ec == 0 {
 			ec = arch.DefaultEpochCycles
@@ -149,66 +152,84 @@ func main() {
 		}
 	}
 
+	// Every output file is created before anything runs, so a bad path
+	// fails before any work. Once the CPU profile runs, a failure is
+	// reported and the remaining outputs still written; the profile is
+	// stopped before exiting 1, so it is never left truncated.
+	failed := false
+	fail := func(what string, err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+		failed = true
+	}
+	var cpuFile *os.File
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			os.Exit(1)
 		}
-		defer pprof.StopCPUProfile()
+		cpuFile = f
 	}
-
-	for _, id := range args {
-		if id == "all" {
-			harness.All(os.Stdout, o)
-		} else {
-			byID[id](os.Stdout, o)
+	create := func(what, path string) *os.File {
+		if path == "" {
+			return nil
 		}
+		f, err := os.Create(path)
+		if err != nil {
+			fail(what, err)
+		}
+		return f
+	}
+	traceFile := create("trace", *traceOut)
+	memFile := create("memprofile", *memProfile)
+	// finish writes one output file and closes it; false if either failed.
+	finish := func(what string, f *os.File, write func(io.Writer) error) bool {
+		err := write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fail(what, err)
+		}
+		return err == nil
 	}
 
-	if o.Obs != nil {
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-				os.Exit(1)
-			}
-			if err := o.Obs.WriteChromeTrace(f); err == nil {
-				err = f.Close()
+	if !failed {
+		for _, id := range args {
+			if id == "all" {
+				harness.All(os.Stdout, o)
 			} else {
-				f.Close()
+				byID[id](os.Stdout, o)
 			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-				os.Exit(1)
-			}
+		}
+
+		if traceFile != nil && finish("trace", traceFile, o.Obs.WriteChromeTrace) {
 			fmt.Fprintf(os.Stderr, "trace written to %s (load in Perfetto / chrome://tracing)\n", *traceOut)
 		}
 		if *metricsDir != "" {
 			if err := o.Obs.WriteMetrics(*metricsDir); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				os.Exit(1)
+				fail("metrics", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsDir)
 			}
-			fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsDir)
+		}
+		if memFile != nil {
+			runtime.GC() // materialise the retained heap before snapshotting
+			finish("memprofile", memFile, pprof.WriteHeapProfile)
 		}
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fail("cpuprofile", err)
 		}
-		defer f.Close()
-		runtime.GC() // materialise the retained heap before snapshotting
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			os.Exit(1)
-		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

@@ -91,6 +91,7 @@ func TestObsTraceParallelDeterminism(t *testing.T) {
 	run := func(jobs int) (trace, metrics, summary []byte) {
 		t.Helper()
 		col := obs.NewCollector(1 << 14)
+		col.Rings = true
 		o := Options{Scale: stamp.Test, Seeds: 1, Jobs: jobs, Obs: col}
 		Claims(io.Discard, o)
 		var tb bytes.Buffer

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -26,8 +27,18 @@ import (
 const coreTrackBase = 100
 
 // WriteChromeTrace writes every registered recorder as one Chrome
-// trace-event JSON document.
+// trace-event JSON document. It fails, writing nothing, when the
+// collector's recorders kept no event rings (see Collector.Rings).
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
+	if c != nil && !c.Rings {
+		return errors.New("obs: chrome trace from a collector that keeps no event rings (set Rings)")
+	}
+	recs := c.Recorders()
+	for _, r := range recs {
+		if !r.rings {
+			return fmt.Errorf("obs: chrome trace: recorder %q keeps no event rings", r.label)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[")
 	first := true
@@ -39,7 +50,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		first = false
 		fmt.Fprintf(bw, format, args...)
 	}
-	for pid, r := range c.Recorders() {
+	for pid, r := range recs {
 		emit(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s}}`,
 			pid, jstr(r.label))
 		for tid := range r.threads {

@@ -15,8 +15,13 @@ import (
 // recorders), so call sites need no "is observability on" branching.
 type Collector struct {
 	// Limit is the per-track ring capacity handed to new recorders
-	// (0 = unbounded).
+	// (0 = unbounded). Without Rings it only sets how many events each
+	// track reports as dropped.
 	Limit int
+	// Rings asks new recorders to store their events, which only
+	// WriteChromeTrace reads. Without it they count events and store
+	// none; every metrics sidecar byte is the same either way.
+	Rings bool
 
 	mu   sync.Mutex
 	exps []string
@@ -50,7 +55,7 @@ func (c *Collector) SetRunConfig(shards int, epochCycles uint64, stmProtocol str
 func (c *Collector) SetFlags(flags map[string]string) { c.flags = flags }
 
 // NewCollector returns a collector whose recorders keep at most limit
-// events per track.
+// events per track once Rings is set, and count them otherwise.
 func NewCollector(limit int) *Collector {
 	return &Collector{Limit: limit, subs: make(map[[2]int]int)}
 }
@@ -84,7 +89,7 @@ func (c *Collector) Recorder(point int, label string) *Recorder {
 	}
 	exp := len(c.exps) - 1
 	key := [2]int{exp, point}
-	r := NewRecorder(label, c.Limit)
+	r := newRecorder(label, c.Limit, c.Rings)
 	r.exp, r.point, r.sub = exp, point, c.subs[key]
 	c.subs[key]++
 	c.recs = append(c.recs, r)

@@ -7,7 +7,8 @@
 //   - per-track ring-buffered event streams with cycle timestamps (one
 //     track per simulated hardware thread, plus one per core for memory
 //     events) — flight-recorder semantics: bounded memory, the most
-//     recent events win;
+//     recent events win. A Collector's recorders store events only when
+//     its Rings is set; otherwise their tracks only count them;
 //   - log-bucketed histograms: transaction duration in cycles, wasted
 //     (aborted-attempt) cycles, read-/write-set lines at commit and at
 //     abort, retries-to-commit;
@@ -141,15 +142,27 @@ const chunkLen = 1024
 // limit events are held, each push overwrites the oldest in place, and
 // the last chunk is only as long as the limit needs. total counts what
 // was ever emitted, so exporters can report drops.
+//
+// A count-only stream stores nothing: it keeps total and the kept count
+// a ring would hold (min(total, limit)), so dropped() reads the same as
+// a ring's, and it never allocates a chunk.
 type stream struct {
-	chunks [][]Event
-	kept   int // events held: at most limit when limit > 0
-	next   int // slot of the next push
-	total  uint64
-	limit  int
+	chunks    [][]Event
+	kept      int // events held: at most limit when limit > 0
+	next      int // slot of the next push
+	total     uint64
+	limit     int
+	countOnly bool
 }
 
 func (s *stream) push(e Event) {
+	if s.countOnly {
+		if s.kept != s.limit || s.limit == 0 {
+			s.kept++
+		}
+		s.total++
+		return
+	}
 	if s.next == s.limit && s.limit > 0 {
 		s.next = 0 // full: overwrite from the oldest slot
 	}
@@ -265,6 +278,7 @@ type Recorder struct {
 	exp, point, sub int
 
 	limit int
+	rings bool   // tracks store their events (see NewRecorder, Collector.Rings)
 	base  uint64 // cycle offset of the current region (see AdvanceBase)
 
 	threads []*stream
@@ -306,9 +320,16 @@ type Recorder struct {
 // NewRecorder returns an enabled recorder whose tracks keep at most
 // limit events each (0 = unbounded).
 func NewRecorder(label string, limit int) *Recorder {
+	return newRecorder(label, limit, true)
+}
+
+// newRecorder returns an enabled recorder; without rings its tracks only
+// count events (see stream).
+func newRecorder(label string, limit int, rings bool) *Recorder {
 	return &Recorder{
 		label:    label,
 		limit:    limit,
+		rings:    rings,
 		siteIdx:  make(map[string]int32),
 		counters: make(map[string]uint64),
 	}
@@ -331,15 +352,15 @@ func (r *Recorder) Base() uint64 { return r.base }
 // recorded regions (see the wallNS field note on determinism).
 func (r *Recorder) AddWall(ns int64) { r.wallNS += ns }
 
-func grow(tracks *[]*stream, i, limit int) *stream {
+func (r *Recorder) grow(tracks *[]*stream, i int) *stream {
 	for len(*tracks) <= i {
-		*tracks = append(*tracks, &stream{limit: limit})
+		*tracks = append(*tracks, &stream{limit: r.limit, countOnly: !r.rings})
 	}
 	return (*tracks)[i]
 }
 
-func (r *Recorder) thread(tid int) *stream { return grow(&r.threads, tid, r.limit) }
-func (r *Recorder) core(cid int) *stream   { return grow(&r.cores, cid, r.limit) }
+func (r *Recorder) thread(tid int) *stream { return r.grow(&r.threads, tid) }
+func (r *Recorder) core(cid int) *stream   { return r.grow(&r.cores, cid) }
 
 func (r *Recorder) pushThread(tid int, e Event) {
 	r.kindCount[e.Kind]++
@@ -500,7 +521,8 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // ThreadEvents returns the kept events of one thread track in emission
-// order (nil for an untouched track). For exporters and tests.
+// order (nil for an untouched track). For exporters and tests, on
+// recorders that keep event rings.
 func (r *Recorder) ThreadEvents(tid int) []Event {
 	if tid < 0 || tid >= len(r.threads) {
 		return nil

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"rtmlab/internal/rng"
 )
 
 // TestStreamRing checks the chunked ring against a slice reference at
@@ -77,6 +79,116 @@ func TestStreamRingAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { s.push(Event{Cycle: 1}) }); n != 0 {
 			t.Errorf("limit %d: push on a wrapped ring allocates %v times", limit, n)
 		}
+	}
+}
+
+// FuzzCountOnlyVsRing feeds one random event sequence to a recorder that
+// keeps event rings and to a count-only one: their sidecar summaries,
+// dropped counts included, must be byte-identical and their kind counts
+// equal, and the count-only recorder must hold no chunk. Each sequence
+// overflows its limit.
+func FuzzCountOnlyVsRing(f *testing.F) {
+	for i, seed := range []uint64{1, 2, 3, 4, 5, 6, 7, 8, 42} {
+		f.Add(seed, uint16(i))
+	}
+	limits := []int{0, 1, 2, 3, 5, 17, chunkLen - 1, chunkLen, chunkLen + 1}
+	f.Fuzz(func(t *testing.T, seed uint64, sel uint16) {
+		limit := limits[int(sel)%len(limits)]
+		ring, count := newRecorder("p", limit, true), newRecorder("p", limit, false)
+		rnd := rng.New(seed)
+		sites := []int32{-1, ring.SiteID("a"), ring.SiteID("b")}
+		count.SiteID("a")
+		count.SiteID("b")
+		var clock uint64
+		for i, n := 0, 4*max(limit, chunkLen)+rnd.Intn(200); i < n; i++ {
+			clock += 1 + uint64(rnd.Intn(50))
+			tid, site := rnd.Intn(2), sites[rnd.Intn(len(sites))]
+			ev := Event{
+				Cycle: clock, Start: clock - uint64(rnd.Intn(int(clock))),
+				Arg: uint64(rnd.Intn(1 << 12)), Site: site, Aux: int32(rnd.Intn(5) - 1),
+				Kind: Kind(rnd.Intn(int(NumKinds))), Cause: Cause(rnd.Intn(int(NumCauses))),
+			}
+			switch ev.Kind {
+			case KL1Evict, KL2Evict, KL3Evict, KInval:
+				ring.MemEvent(tid, ev.Cycle, ev.Kind, ev.Arg)
+				count.MemEvent(tid, ev.Cycle, ev.Kind, ev.Arg)
+			default:
+				if ev.Kind == KTxCommit && ev.Aux < 0 {
+					ev.Aux = 0 // retries
+				}
+				ring.Record(tid, &ev)
+				count.Record(tid, &ev)
+			}
+		}
+		rj, err := json.Marshal(ring.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cj, err := json.Marshal(count.Summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rj, cj) {
+			t.Fatalf("limit %d: summaries differ:\nring  %s\ncount %s", limit, rj, cj)
+		}
+		if limit > 0 && count.Dropped() == 0 {
+			t.Fatalf("limit %d: no track overflowed", limit)
+		}
+		for k := Kind(0); k < NumKinds; k++ {
+			if ring.KindCount(k) != count.KindCount(k) {
+				t.Errorf("limit %d: KindCount(%v) = %d, ring %d", limit, k, count.KindCount(k), ring.KindCount(k))
+			}
+		}
+		for _, s := range append(count.threads, count.cores...) {
+			if s.chunks != nil {
+				t.Fatalf("limit %d: a count-only track holds %d chunks", limit, len(s.chunks))
+			}
+		}
+	})
+}
+
+// TestCountOnlyPushAllocs pins that a count-only track never allocates,
+// however far past its limit it is pushed.
+func TestCountOnlyPushAllocs(t *testing.T) {
+	for _, limit := range []int{0, 1, chunkLen + 1} {
+		s := &stream{limit: limit, countOnly: true}
+		push := func() {
+			for i := 0; i < 3*chunkLen; i++ {
+				s.push(Event{Cycle: uint64(i)})
+			}
+		}
+		if n := testing.AllocsPerRun(5, push); n != 0 {
+			t.Errorf("limit %d: count-only pushes allocate %v times", limit, n)
+		}
+		// AllocsPerRun calls push once more than it measures.
+		total := uint64(6 * 3 * chunkLen)
+		want := uint64(0)
+		if limit > 0 {
+			want = total - uint64(limit)
+		}
+		if s.total != total || s.dropped() != want {
+			t.Errorf("limit %d: total %d dropped %d, want %d and %d", limit, s.total, s.dropped(), total, want)
+		}
+	}
+}
+
+// TestChromeTraceNeedsRings checks that a collector whose recorders kept
+// no event rings refuses to write a trace rather than write an empty
+// one.
+func TestChromeTraceNeedsRings(t *testing.T) {
+	c := NewCollector(0)
+	c.BeginExperiment("test")
+	fillRecorder(c.Recorder(0, "p0"))
+	var buf bytes.Buffer
+	if err := c.WriteChromeTrace(&buf); err == nil {
+		t.Fatal("WriteChromeTrace succeeded without event rings")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("WriteChromeTrace wrote %d bytes without event rings", buf.Len())
+	}
+	c.Rings = true // the recorder above still has none
+	if err := c.WriteChromeTrace(&buf); err == nil || buf.Len() != 0 {
+		t.Errorf("WriteChromeTrace with a ringless recorder: err %v, %d bytes", err, buf.Len())
 	}
 }
 
@@ -174,6 +286,7 @@ func fillRecorder(r *Recorder) {
 
 func TestChromeTraceStructure(t *testing.T) {
 	c := NewCollector(0)
+	c.Rings = true
 	c.BeginExperiment("test")
 	fillRecorder(c.Recorder(0, "p0"))
 
@@ -235,6 +348,7 @@ func TestChromeTraceStructure(t *testing.T) {
 func TestCollectorMergeOrder(t *testing.T) {
 	build := func(order []int) (string, string) {
 		c := NewCollector(0)
+		c.Rings = true
 		c.BeginExperiment("exp")
 		recs := map[int]*Recorder{}
 		for _, p := range order {

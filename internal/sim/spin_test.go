@@ -121,6 +121,7 @@ func runSpinProgram(t *testing.T, prog spinProgram, flag0 int64, wait func(*Proc
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
 	col := obs.NewCollector(0)
+	col.Rings = true
 	h.Rec = col.Recorder(0, "spin")
 	h.Poke(spinFlag, flag0)
 	b := NewBarrier(len(prog.threads))

@@ -50,6 +50,15 @@ obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/rtmlab -scale test -seeds 1 -trace "$obsdir/trace.json" -metrics "$obsdir/metrics" table4 > /dev/null
 go run ./cmd/tracecheck -metrics "$obsdir/metrics/table4.json" "$obsdir/trace.json"
+# Recorders store events only under -trace; without it they only count
+# them, so the sidecars (host-timing ones aside) must not change.
+go run ./cmd/rtmlab -scale test -seeds 1 -metrics "$obsdir/metrics-untraced" table4 > /dev/null
+(cd "$obsdir/metrics" && ls | grep -v '\.timing\.json$') > "$obsdir/traced.files"
+(cd "$obsdir/metrics-untraced" && ls | grep -v '\.timing\.json$') > "$obsdir/untraced.files"
+cmp "$obsdir/traced.files" "$obsdir/untraced.files"
+while read -r f; do
+    cmp "$obsdir/metrics/$f" "$obsdir/metrics-untraced/$f"
+done < "$obsdir/traced.files"
 
 echo "== sharded engine smoke (traced -shards 4 + output invariance) =="
 # The same experiment on the epoch-synchronized sharded engine: the trace
@@ -87,6 +96,17 @@ for bad in "-shards -2" "-trace-limit -1" "-seeds 0"; do
         exit 1
     fi
 done
+# A failed output exits 1 but still stops the CPU profile, so the
+# profile stays readable.
+go build -o "$obsdir/rtmlab" ./cmd/rtmlab
+st=0
+"$obsdir/rtmlab" -scale test -seeds 1 -cpuprofile "$obsdir/c.pprof" \
+    -trace "$obsdir/missing-dir/t.json" table4 > /dev/null 2>&1 || st=$?
+if [ "$st" -ne 1 ]; then
+    echo "rtmlab exited $st on an unwritable -trace path, want 1"
+    exit 1
+fi
+go tool pprof -top "$obsdir/c.pprof" > /dev/null
 # An unknown experiment id is rejected before any experiment runs, so
 # fig1 must print nothing.
 if go run ./cmd/rtmlab -scale test -seeds 1 fig1 bogus > "$obsdir/bogus.txt" 2>/dev/null; then

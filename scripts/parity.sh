@@ -8,12 +8,14 @@
 # Builds rtmlab from <base-rev> (exported with git archive into a
 # temporary directory; no network needed) and from the working tree,
 # runs the same experiment set with both at -scale test -seeds 1, and
-# compares stdout, exit status, the -csv tables and the -metrics sidecars
-# byte for byte. The *.timing.json sidecars hold host wall-clock and are
-# the one output skipped. Exits 0 when everything matches, 1 otherwise.
+# compares stdout, exit status, the -csv tables, the -metrics sidecars
+# and one -trace file byte for byte. The *.timing.json sidecars hold host
+# wall-clock and are the one output skipped. Exits 0 when everything
+# matches, 1 otherwise.
 #
 # The set: `all` on the classic engine; fig10 table4 table5 claims hybrid
-# at -shards 2; fig10 hybrid under -stm-protocol tl2 and under norec.
+# at -shards 2; fig10 hybrid under -stm-protocol tl2 and under norec;
+# table4 hybrid with -trace, the only run that stores recorder events.
 # `all` alone takes about 96 s per revision on a 2-vCPU host.
 set -eu
 cd "$(dirname "$0")/.."
@@ -37,13 +39,17 @@ go build -o "$tmp/rtmlab-head" ./cmd/rtmlab
 runs='classic all
 shards2 -shards 2 fig10 table4 table5 claims hybrid
 tl2 -stm-protocol tl2 fig10 hybrid
-norec -stm-protocol norec fig10 hybrid'
+norec -stm-protocol norec fig10 hybrid
+traced table4 hybrid'
 
 for side in base head; do
 	echo "$runs" | while read -r name args; do
 		echo "== ${side}: ${name} (${args}) =="
 		out="$tmp/$side/$name"
 		mkdir -p "$out"
+		if [ "$name" = traced ]; then
+			args="-trace $out/trace.json $args"
+		fi
 		# $args is split on purpose: it is a list of flags and experiments.
 		# shellcheck disable=SC2086
 		if "$tmp/rtmlab-$side" -scale test -seeds 1 -csv "$out/csv" -metrics "$out/metrics" \
