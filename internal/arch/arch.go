@@ -63,15 +63,13 @@ type Latency struct {
 
 // TSX holds the cost and capability parameters of the RTM model.
 type TSX struct {
-	XBeginCost  uint64 // cycles to start a transaction (register checkpoint)
-	XEndCost    uint64 // cycles to commit
-	AbortCost   uint64 // cycles to roll back and deliver the abort status
-	XAbortCost  uint64 // cycles for an explicit abort
-	MaxNest     int    // maximum nesting depth (flattened)
-	TickPeriod  uint64 // timer-interrupt period in cycles; a tick inside a txn aborts it
-	TickJitter  uint64 // uniform jitter applied to each tick (deterministic PRNG)
-	ReadSetMax  int    // 0 = bounded only by cache capacity
-	WriteSetMax int    // 0 = bounded only by L1 capacity
+	XBeginCost uint64 // cycles to start a transaction (register checkpoint)
+	XEndCost   uint64 // cycles to commit
+	AbortCost  uint64 // cycles to roll back and deliver the abort status
+	XAbortCost uint64 // cycles for an explicit abort
+	MaxNest    int    // maximum nesting depth (flattened)
+	TickPeriod uint64 // timer-interrupt period in cycles; a tick inside a txn aborts it
+	TickJitter uint64 // uniform jitter applied to each tick (deterministic PRNG)
 	// ReadSetLevel selects the cache level whose eviction kills the read
 	// set: 3 (Haswell: the inclusive L3) or 2 (a hypothetical design that
 	// tracks reads only to the private L2 — the ablation-readset

@@ -106,26 +106,3 @@ func Compute(cfg *arch.Config, m Measure) Report {
 		Abort:    float64(m.Aborts) * e.AbortNJ * nJ,
 	}
 }
-
-// Accum accumulates reports across the phases of a multi-region
-// application run.
-type Accum struct {
-	r Report
-}
-
-// Add merges a region report into the accumulator.
-func (a *Accum) Add(r Report) {
-	a.r.Static += r.Static
-	a.r.CoreBusy += r.CoreBusy
-	a.r.CoreIdle += r.CoreIdle
-	a.r.Instr += r.Instr
-	a.r.L1 += r.L1
-	a.r.L2 += r.L2
-	a.r.L3 += r.L3
-	a.r.DRAM += r.DRAM
-	a.r.Coh += r.Coh
-	a.r.Abort += r.Abort
-}
-
-// Report returns the accumulated totals.
-func (a *Accum) Report() Report { return a.r }

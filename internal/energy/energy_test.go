@@ -82,18 +82,6 @@ func TestHyperThreadsShareCorePower(t *testing.T) {
 	}
 }
 
-func TestAccum(t *testing.T) {
-	cfg := arch.Haswell()
-	m := Measure{Cycles: 1e6, ThreadCycles: []uint64{1e6}, Instr: 5000}
-	r := Compute(cfg, m)
-	var a Accum
-	a.Add(r)
-	a.Add(r)
-	if math.Abs(a.Report().Total()-2*r.Total()) > 1e-12 {
-		t.Fatal("accumulator does not sum")
-	}
-}
-
 func TestBreakdownSumsToTotal(t *testing.T) {
 	cfg := arch.Haswell()
 	r := Compute(cfg, Measure{

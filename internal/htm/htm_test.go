@@ -190,7 +190,7 @@ func TestWriteCapacityWallBusySibling(t *testing.T) {
 				})
 			case 4: // shares core 0 with thread 0
 				for i := 0; i < 4096; i++ {
-					p.Touch(64<<20 + uint64(i)*arch.LineSize)
+					p.Load(64<<20 + uint64(i)*arch.LineSize)
 				}
 			}
 			b.Wait(p)

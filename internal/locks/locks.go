@@ -1,8 +1,8 @@
 // Package locks implements conventional synchronization on simulated
-// memory: atomic read-modify-write primitives (CAS, fetch-and-add), the
-// Linux-style ticket spinlock the paper compares against, a test-and-set
-// lock, and the reader/writer spinlock used by the RTM fallback path
-// (Algorithm 1).
+// memory: compare-and-swap, the Linux-style ticket spinlock the paper
+// compares against, and the write side of the reader/writer spinlock used
+// by the RTM fallback path (Algorithm 1), whose readers are the hardware
+// transactions that test CanRead.
 //
 // The coherence ping-pong of the lock cache line — which the paper
 // identifies as the main cost of lock-based synchronization under
@@ -37,16 +37,6 @@ func CAS(m Mem, addr uint64, old, new int64) bool {
 	return ok
 }
 
-// FetchAdd atomically adds delta at addr and returns the previous value.
-func FetchAdd(m Mem, addr uint64, delta int64) int64 {
-	return m.RMW(addr, func(v int64) int64 { return v + delta })
-}
-
-// Exchange atomically stores val and returns the previous value.
-func Exchange(m Mem, addr uint64, val int64) int64 {
-	return m.RMW(addr, func(int64) int64 { return val })
-}
-
 // Ticket is a Linux-kernel-style ticket spinlock occupying two words of
 // simulated memory (next at Addr, owner at Addr+8). Zero-initialised
 // memory is an unlocked lock.
@@ -57,8 +47,8 @@ type Ticket struct {
 func (l Ticket) nextAddr() uint64  { return l.Addr }
 func (l Ticket) ownerAddr() uint64 { return l.Addr + 8 }
 
-// incr is the ticket-take RMW as a static closure: a FetchAdd(m, addr, 1)
-// would capture the delta and allocate on every lock acquisition.
+// incr is the ticket-take RMW as a static closure, so a lock acquisition
+// allocates nothing.
 var incr = func(v int64) int64 { return v + 1 }
 
 // Lock acquires the lock, spinning with Pause while waiting.
@@ -75,43 +65,11 @@ func (l Ticket) Unlock(m Mem) {
 	m.Store(l.ownerAddr(), owner+1)
 }
 
-// TryLock attempts a single acquisition without spinning.
-func (l Ticket) TryLock(m Mem) bool {
-	next := m.Load(l.nextAddr())
-	owner := m.Load(l.ownerAddr())
-	if next != owner {
-		return false
-	}
-	return CAS(m, l.nextAddr(), next, next+1)
-}
-
-// TAS is a test-and-set spinlock in one word (0 free, 1 held).
-type TAS struct {
-	Addr uint64
-}
-
-// Lock acquires the lock with test-and-test-and-set.
-func (l TAS) Lock(m Mem) {
-	for {
-		if m.Load(l.Addr) == 0 && CAS(m, l.Addr, 0, 1) {
-			return
-		}
-		m.Pause()
-	}
-}
-
-// TryLock attempts a single acquisition.
-func (l TAS) TryLock(m Mem) bool {
-	return m.Load(l.Addr) == 0 && CAS(m, l.Addr, 0, 1)
-}
-
-// Unlock releases the lock.
-func (l TAS) Unlock(m Mem) { m.Store(l.Addr, 0) }
-
 // RW is a reader/writer spinlock in one word: 0 free, >0 reader count,
 // -1 writer held. This is the serialisation lock of the paper's RTM
-// fallback (Algorithm 1): transactions check CanRead on the raw word and
-// the fallback path takes the write side.
+// fallback (Algorithm 1): its readers are transactions, which test
+// CanRead on the raw word without taking a hold, and the fallback path
+// takes the write side.
 type RW struct {
 	Addr uint64
 }
@@ -120,29 +78,12 @@ type RW struct {
 // writer holds it) — the arch_read_can_lock predicate.
 func CanRead(v int64) bool { return v >= 0 }
 
-// ReadLock acquires the lock shared.
-func (l RW) ReadLock(m Mem) {
-	for {
-		v := m.Load(l.Addr)
-		if v >= 0 && CAS(m, l.Addr, v, v+1) {
-			return
-		}
-		m.Pause()
-	}
-}
-
-// ReadUnlock releases a shared hold.
-func (l RW) ReadUnlock(m Mem) { FetchAdd(m, l.Addr, -1) }
-
 // WriteLock acquires the lock exclusive.
 func (l RW) WriteLock(m Mem) {
 	for !CAS(m, l.Addr, 0, -1) {
 		m.Pause()
 	}
 }
-
-// TryWriteLock attempts a single exclusive acquisition.
-func (l RW) TryWriteLock(m Mem) bool { return CAS(m, l.Addr, 0, -1) }
 
 // WriteUnlock releases an exclusive hold.
 func (l RW) WriteUnlock(m Mem) { m.Store(l.Addr, 0) }

@@ -89,7 +89,7 @@ func writeThreadEvent(emit func(string, ...any), r *Recorder, pid, tid int, e *E
 			pid, tid, e.Start, e.Cycle-e.Start, jstr(name+" (aborted)"), jstr(e.Cause.String()))
 		emit(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":%s,"args":{"cause":%s,"line":"0x%x","by":%d}}`,
 			pid, tid, e.Cycle, jstr("abort: "+e.Cause.String()), jstr(e.Cause.String()), e.Arg, e.Aux)
-	case KTxBegin, KTxFallback, KTxElide:
+	case KTxBegin, KTxFallback:
 		emit(`{"ph":"i","s":"t","pid":%d,"tid":%d,"ts":%d,"name":%s,"args":{"site":%s}}`,
 			pid, tid, e.Cycle, jstr(e.Kind.String()), jstr(name))
 	case KBackoff:

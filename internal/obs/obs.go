@@ -88,7 +88,6 @@ const (
 	KTxCommit Kind = iota
 	KTxAbort
 	KTxFallback
-	KTxElide
 	KL1Evict
 	KL2Evict
 	KL3Evict
@@ -102,7 +101,6 @@ var kindNames = [NumKinds]string{
 	KTxCommit:   "commit",
 	KTxAbort:    "abort",
 	KTxFallback: "fallback",
-	KTxElide:    "elide",
 	KL1Evict:    "l1-evict",
 	KL2Evict:    "l2-evict",
 	KL3Evict:    "l3-evict",
@@ -434,8 +432,8 @@ func (r *Recorder) TxAbort(tid int, cycle, start uint64, site int32, cause Cause
 	r.spanAbort(tid, r.base+cycle, w, site, by)
 }
 
-// TxInstant records a point event (fallback serialisation, HLE elide) on
-// the thread's track. A fallback instant marks the thread's open span as
+// TxInstant records a point event (fallback serialisation) on the
+// thread's track. A fallback instant marks the thread's open span as
 // completing through a fallback path.
 func (r *Recorder) TxInstant(tid int, cycle uint64, site int32, kind Kind) {
 	r.pushThread(tid, Event{Cycle: r.base + cycle, Site: site, Aux: -1, Kind: kind})

@@ -156,19 +156,6 @@ func (p *Proc) StoreTiming(addr uint64) {
 	p.yield()
 }
 
-// Touch performs the timing work of a read without returning data.
-func (p *Proc) Touch(addr uint64) {
-	if p.ShardActive() {
-		p.shardTouch(addr)
-		return
-	}
-	p.preOp()
-	cycles := p.eng.H.Touch(p.core, addr)
-	p.instr++
-	p.clock += p.scale(cycles)
-	p.yield()
-}
-
 // Work models n cycles of core-local computation (n instructions).
 func (p *Proc) Work(n uint64) {
 	if n == 0 {

@@ -98,7 +98,6 @@ const (
 	pLoad
 	pStore
 	pStoreTiming
-	pTouch
 	pExcl
 )
 
@@ -550,9 +549,6 @@ func (se *shardEngine) execPark(p *Proc) {
 	case pStoreTiming:
 		c := h.StoreTiming(p.core, ps.opAddr)
 		p.clock += p.scale(c)
-	case pTouch:
-		c := h.Touch(p.core, ps.opAddr)
-		p.clock += p.scale(c)
 	case pExcl:
 		func() {
 			defer func() {
@@ -860,22 +856,6 @@ func (p *Proc) shardStoreTiming(addr uint64) {
 	}
 	p.instr++
 	p.shardParkOp(pStoreTiming, addr, 0, nil)
-	p.shardYield()
-}
-
-//rtm:hot
-func (p *Proc) shardTouch(addr uint64) {
-	p.shardPreOp()
-	ps := p.sh
-	if c, ok := p.eng.H.LocalLoad(p.core, addr, &ps.stats, p); ok {
-		p.instr++
-		p.clock += p.scale(c)
-		ps.localOps++
-		p.shardYield()
-		return
-	}
-	p.instr++
-	p.shardParkOp(pTouch, addr, 0, nil)
 	p.shardYield()
 }
 

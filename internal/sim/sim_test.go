@@ -291,7 +291,7 @@ func TestEngineStressMixedOps(t *testing.T) {
 					case 3:
 						p.Pause()
 					default:
-						p.Touch(uint64(p.Rng.Intn(2048)) * arch.WordSize)
+						p.Load(uint64(p.Rng.Intn(2048)) * arch.WordSize)
 					}
 				}
 				b.Wait(p)

@@ -6,7 +6,7 @@ import (
 	"rtmlab/internal/tm"
 )
 
-var testBackends = []tm.Backend{tm.Seq, tm.Lock, tm.STM, tm.HTM, tm.HLE, tm.Hybrid}
+var testBackends = []tm.Backend{tm.Seq, tm.Lock, tm.STM, tm.HTM, tm.Hybrid}
 
 func threadsFor(b tm.Backend) []int {
 	if b == tm.Seq {

@@ -18,7 +18,7 @@ import (
 // foreign panic must convert into an abort, the retry must succeed, and
 // the tm:fault.sandbox counter must record the conversion.
 func TestFaultSandboxSharded(t *testing.T) {
-	for _, b := range []Backend{HTM, HLE, Hybrid, STM} {
+	for _, b := range []Backend{HTM, Hybrid, STM} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			const threads = 2
@@ -55,7 +55,7 @@ func TestFaultSandboxSharded(t *testing.T) {
 // body there is a genuine workload bug and must surface, not be
 // laundered into an abort-and-retry loop.
 func TestFaultClassicPropagates(t *testing.T) {
-	for _, b := range []Backend{HTM, HLE, Hybrid, STM} {
+	for _, b := range []Backend{HTM, Hybrid, STM} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			sys := NewSystem(arch.Haswell(), b)

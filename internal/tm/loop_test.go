@@ -80,7 +80,7 @@ const (
 // loopBody is the bank kernel with two extra sites. Every tenth
 // iteration runs "overflow", which writes twice the L1 and restarts once
 // at the end of its first complete pass: it drives every fallback path
-// (serial lock, HLE lock, software phase) and a restart inside each.
+// (serial lock, software phase) and a restart inside each.
 // HTMBare skips it, since with no fallback it would retry forever. Every
 // seventh iteration runs "restart", which restarts its first attempt.
 // after, if non-nil, runs after every atomic block.
@@ -184,9 +184,8 @@ func writeCounters(h hash.Hash, set string, m map[string]uint64) {
 
 // TestAtomicLoopGolden pins every simulated cycle, counter and recorder
 // event the atomic-block loop produces, for every backend on both
-// engines and every STM protocol. It is the parity check
-// for changes to the loop, and the only end-to-end check of HLE. Run
-// with -update to rewrite the golden file.
+// engines and every STM protocol. It is the parity check for changes
+// to the loop. Run with -update to rewrite the golden file.
 func TestAtomicLoopGolden(t *testing.T) {
 	var got strings.Builder
 	for _, lc := range loopCases() {

@@ -149,3 +149,26 @@ func TestRecorderTimelineMonotonic(t *testing.T) {
 		t.Errorf("sim:regions = %d, want 3", got)
 	}
 }
+
+// TestTraceTimeline checks the recorder's transaction timeline against
+// the counters: every atomic block commits once (in hardware or on the
+// fallback path), every attempt begins, and every abort is recorded.
+func TestTraceTimeline(t *testing.T) {
+	sys := NewSystem(arch.Haswell(), HTM)
+	rec := obs.NewRecorder("timeline", 0)
+	sys.SetRecorder(rec)
+	sys.Run(2, 3, func(c *Ctx) {
+		for i := 0; i < 30; i++ {
+			c.Atomic(func(tx Tx) { tx.Store(0, tx.Load(0)+1) })
+		}
+	})
+	if got := rec.KindCount(obs.KTxCommit); got != 60 {
+		t.Fatalf("commits recorded = %d, want 60", got)
+	}
+	if got := rec.KindCount(obs.KTxBegin); got < 60 {
+		t.Fatalf("begins recorded = %d, want at least 60", got)
+	}
+	if got := rec.KindCount(obs.KTxAbort); got != sys.Aborts() {
+		t.Fatalf("aborts recorded = %d, counted %d", got, sys.Aborts())
+	}
+}

@@ -28,7 +28,6 @@ const (
 	guardNone      guard = iota
 	guardGlobal          // Lock: the global ticket lock
 	guardSerial          // HTM: Algorithm 1's reader/writer serialisation lock
-	guardHLE             // HLE: the elided test-and-set lock
 	guardSTMActive       // Hybrid: the count of software transactions in flight
 )
 
@@ -37,11 +36,9 @@ const (
 const (
 	serialLockAddr uint64 = 1 << 28
 	globalLockAddr        = serialLockAddr + 2*arch.LineSize
-	hleLockAddr           = serialLockAddr + 4*64
 	stmActiveAddr         = serialLockAddr + 8*64
 
 	xabortLockHeld  uint8 = 0 // Algorithm 1's _xabort(0)
-	xabortHLEHeld   uint8 = 0xE1
 	xabortSTMActive uint8 = 0x57
 )
 
@@ -53,7 +50,6 @@ var guards = [...]struct {
 	counter string // counts fallbacks onto the guard
 }{
 	guardSerial:    {serialLockAddr, xabortLockHeld, "tm:fallback"},
-	guardHLE:       {hleLockAddr, xabortHLEHeld, "tm:hle.fallback"},
 	guardSTMActive: {stmActiveAddr, xabortSTMActive, "tm:hybrid.fallback"},
 }
 
@@ -72,7 +68,6 @@ type budget uint8
 
 const (
 	unbounded  budget = iota
-	once              // HLE: one elision attempt
 	maxRetries        // System.MaxRetries, read when each block runs
 )
 
@@ -83,7 +78,6 @@ const (
 type policy struct {
 	mode     attemptMode // how first-phase attempts run
 	guard    guard
-	elide    bool // hardware attempts are lock elisions: an elide event replaces the begin
 	budget   budget
 	wait     bool        // after a guard abort, wait for the guard to clear before retrying (Algorithm 1)
 	bail     bool        // fall back at once when a hardware attempt finds the guard held (Hybrid)
@@ -92,17 +86,6 @@ type policy struct {
 
 // policies holds each backend's policy; DESIGN §3 "Atomic-block
 // policies" tabulates them.
-//
-// HLE (Hardware Lock Elision) is TSX's legacy-compatible interface: an
-// XACQUIRE-prefixed lock acquisition starts a hardware transaction with
-// the lock line in its read set but leaves the lock unwritten, so multiple
-// critical sections run concurrently; XRELEASE commits. Unlike RTM there
-// is no software retry policy — after a failed elision the hardware
-// re-executes the critical section acquiring the lock for real.
-//
-// The HLE policy models exactly that: one elision attempt, then a real
-// test-and-set acquisition (whose write to the lock line aborts every
-// concurrently eliding transaction, just like hardware).
 //
 // Hybrid is the serialization-free alternative to Algorithm 1 that the
 // paper's conclusion points towards ("carefully avoiding unnecessary
@@ -128,7 +111,6 @@ var policies = [...]policy{
 	STM:     {mode: modeSoftware},
 	HTM:     {mode: modeHardware, guard: guardSerial, budget: maxRetries, wait: true, fallback: modeDirect},
 	HTMBare: {mode: modeHardware},
-	HLE:     {mode: modeHardware, guard: guardHLE, elide: true, budget: once, fallback: modeDirect},
 	Hybrid:  {mode: modeHardware, guard: guardSTMActive, budget: maxRetries, bail: true, fallback: modeSoftware},
 }
 
@@ -158,7 +140,7 @@ func (c *Ctx) Atomic(body func(t Tx)) {
 	if !c.phase(body, p.mode, p.budget) {
 		g := &guards[p.guard]
 		c.cnt().Inc(g.counter)
-		c.obsInstant(obs.KTxFallback)
+		c.obsFallback()
 		c.phase(body, p.fallback, unbounded)
 	}
 	c.applyFrees()
@@ -189,7 +171,7 @@ func (c *Ctx) phase(body func(t Tx), mode attemptMode, b budget) bool {
 		if p.wait && out != aborted {
 			c.awaitClear(p.guard)
 		}
-		if b == once || b == maxRetries && n >= c.sys.MaxRetries {
+		if b == maxRetries && n >= c.sys.MaxRetries {
 			return false
 		}
 	}
@@ -223,14 +205,10 @@ func (c *Ctx) attempt(body func(t Tx), mode attemptMode) (out outcome) {
 		body(stmTx{c})
 		c.stx.Commit()
 	case modeHardware:
-		p := &c.sys.policy
-		if p.elide {
-			c.obsInstant(obs.KTxElide)
-		}
 		c.sys.HTM.Begin(c.htx)
 		// Subscribe to the guard inside the transaction (adding it to the
 		// read set); abort explicitly if it is held.
-		if g := p.guard; g != guardNone && g.held(c.htx.Load(guards[g].addr)) {
+		if g := c.sys.policy.guard; g != guardNone && g.held(c.htx.Load(guards[g].addr)) {
 			c.htx.XAbort(guards[g].code)
 		}
 		body(htmTx{c})
@@ -331,11 +309,6 @@ func (c *Ctx) acquire(g guard) {
 		locks.Ticket{Addr: globalLockAddr}.Lock(c)
 	case guardSerial:
 		locks.RW{Addr: serialLockAddr}.WriteLock(c)
-	case guardHLE:
-		// Waiting for the lock to be free first avoids an abort storm
-		// among the other eliders.
-		c.awaitClear(g)
-		locks.TAS{Addr: hleLockAddr}.Lock(c)
 	case guardSTMActive:
 		c.RMW(stmActiveAddr, func(v int64) int64 { return v + 1 })
 	}
@@ -348,8 +321,6 @@ func (c *Ctx) release(g guard) {
 		locks.Ticket{Addr: globalLockAddr}.Unlock(c)
 	case guardSerial:
 		locks.RW{Addr: serialLockAddr}.WriteUnlock(c)
-	case guardHLE:
-		locks.TAS{Addr: hleLockAddr}.Unlock(c)
 	case guardSTMActive:
 		c.RMW(stmActiveAddr, func(v int64) int64 { return v - 1 })
 	}

@@ -27,7 +27,7 @@ func TestShardAtomicCycleZeroAlloc(t *testing.T) {
 		{"/read-set-l2", func(cfg *arch.Config) { cfg.TSX.ReadSetLevel = 2 }},
 		{"/prefetch", func(cfg *arch.Config) { cfg.Lat.PrefetchNextLine = true }},
 	}
-	for _, b := range []Backend{Lock, STM, HTM, HTMBare, HLE, Hybrid} {
+	for _, b := range []Backend{Lock, STM, HTM, HTMBare, Hybrid} {
 		for _, v := range variants {
 			b, v := b, v
 			t.Run(b.String()+v.name, func(t *testing.T) {

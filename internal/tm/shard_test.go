@@ -10,7 +10,7 @@ import (
 )
 
 // shardBackends are the backends exercised under the sharded engine.
-var shardBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, HLE, Hybrid}
+var shardBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, Hybrid}
 
 func shardCfg(shards int, epoch uint64) *arch.Config {
 	cfg := arch.Haswell()

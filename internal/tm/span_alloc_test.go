@@ -16,7 +16,7 @@ import (
 // would dominate as amortised growth. Runs the classic and sharded
 // engines (sharded adds the deferred begin/commit replay path).
 func TestSpanPathZeroAlloc(t *testing.T) {
-	for _, b := range []Backend{Lock, STM, HTM, HTMBare, HLE, Hybrid} {
+	for _, b := range []Backend{Lock, STM, HTM, HTMBare, Hybrid} {
 		for _, sharded := range []bool{false, true} {
 			b, sharded := b, sharded
 			name := b.String()

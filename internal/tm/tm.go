@@ -19,8 +19,6 @@
 //     cache line ("lock aborts", Fig. 12).
 //   - HTMBare: RTM with plain retry and no fallback lock, used by the
 //     Table I overhead microbenchmark.
-//   - HLE: Hardware Lock Elision — one elided attempt, then the lock taken
-//     for real.
 //   - Hybrid: RTM with a software-transaction fallback instead of the
 //     serialisation lock.
 //
@@ -53,7 +51,6 @@ const (
 	STM
 	HTM
 	HTMBare
-	HLE
 	Hybrid
 )
 
@@ -69,8 +66,6 @@ func (b Backend) String() string {
 		return "rtm"
 	case HTMBare:
 		return "rtm-bare"
-	case HLE:
-		return "hle"
 	case Hybrid:
 		return "hybrid"
 	default:
@@ -168,9 +163,8 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 	return s
 }
 
-// countLockAbort classifies a hardware abort caused by a lock a fallback
-// path took: the serialisation lock ("lock aborts", Fig. 12) or the HLE
-// lock.
+// countLockAbort classifies a hardware abort caused by the serialisation
+// lock a fallback path took ("lock aborts", Fig. 12).
 //
 // Under the sharded engine the count is staged even at a boundary: the
 // hook also fires from a shard worker, on a local abort.
@@ -183,10 +177,6 @@ func (s *System) countLockAbort(tid int, a htm.Abort) {
 	case guardHeld:
 		cnt.Inc("tm:abort.lock")
 		cnt.Inc("tm:abort.lock.explicit")
-	default:
-		if guardHLE.classify(a) != aborted {
-			cnt.Inc("tm:abort.hlelock")
-		}
 	}
 }
 
@@ -299,8 +289,8 @@ type Ctx struct {
 	blockStart   uint64
 	attemptStart uint64
 
-	// siteIDs caches recorder site-id interning per thread in shard mode
-	// (first encounters intern through an exclusive boundary op).
+	// siteIDs caches recorder site-id interning per thread; attach
+	// clears it, so a cached id always belongs to the current recorder.
 	siteIDs map[string]int32
 
 	// rmwFn is the persistent boundary closure for sharded RMW, with its
@@ -456,9 +446,7 @@ func (c *Ctx) Retries() int { return c.aborts }
 func (c *Ctx) AtomicSite(site string, body func(t Tx)) {
 	prev, prevID := c.site, c.obsSite
 	c.site = site
-	if r := c.sys.Obs; r != nil {
-		c.obsSite = c.siteID(r, site)
-	}
+	c.obsSite = c.siteID(c.sys.Obs, site)
 	start := c.P.Cycles()
 	c.Atomic(body)
 	cnt := c.cnt()
@@ -471,14 +459,11 @@ func (c *Ctx) AtomicSite(site string, body func(t Tx)) {
 // exactly this call: interning from the shard parallel phase must not
 // take a simulated-time path (a park or exclusive boundary op), or the
 // simulation's outcome would depend on whether a recorder is attached.
-// The id is cached per-thread, keeping the mutex off the steady-state
-// hot path.
+// The id is cached per thread on both engines, keeping the mutex off the
+// steady-state hot path.
 func (c *Ctx) siteID(r *obs.Recorder, site string) int32 {
 	if r == nil {
 		return -1
-	}
-	if !c.P.ShardActive() {
-		return r.SiteID(site)
 	}
 	if id, ok := c.siteIDs[site]; ok {
 		return id
@@ -493,7 +478,7 @@ func (c *Ctx) siteID(r *obs.Recorder, site string) int32 {
 
 // beginAttempt marks the start of one attempt of the current atomic
 // block (the abort slice's left edge) and opens/extends the thread's
-// span on the flight recorder: every attempt — hardware, STM, elided or
+// span on the flight recorder: every attempt — hardware, STM or
 // fallback — emits a begin, so spans stay balanced (each begin is
 // terminated by a commit or an abort before the next begin).
 func (c *Ctx) beginAttempt() {
@@ -519,9 +504,10 @@ func (c *Ctx) obsAbort(cause obs.Cause, line uint64, by int) {
 	})
 }
 
-// obsInstant records a point event (fallback serialisation, HLE elide).
-func (c *Ctx) obsInstant(kind obs.Kind) {
-	c.P.RecordEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite, Kind: kind})
+// obsFallback records the point event of a block falling back to its
+// guarded phase.
+func (c *Ctx) obsFallback() {
+	c.P.RecordEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite, Kind: obs.KTxFallback})
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).

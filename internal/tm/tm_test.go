@@ -8,12 +8,12 @@ import (
 	"rtmlab/internal/sim"
 )
 
-var allBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, HLE, Hybrid}
+var allBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, Hybrid}
 
 var concurrentBackends = []Backend{Lock, STM, HTM, HTMBare}
 
 func TestBackendNames(t *testing.T) {
-	want := map[Backend]string{Seq: "seq", Lock: "lock", STM: "tinystm", HTM: "rtm", HTMBare: "rtm-bare", HLE: "hle", Hybrid: "hybrid"}
+	want := map[Backend]string{Seq: "seq", Lock: "lock", STM: "tinystm", HTM: "rtm", HTMBare: "rtm-bare", Hybrid: "hybrid"}
 	if len(want) != len(allBackends) || len(policies) != len(allBackends) {
 		t.Fatalf("%d names and %d policies for %d backends", len(want), len(policies), len(allBackends))
 	}
@@ -353,7 +353,7 @@ func TestCtxImplementsLocksMem(t *testing.T) {
 // reader that loads two words maintained under the invariant x == y must
 // never observe x != y mid-transaction, even in attempts that later abort.
 func TestOpacityInvariantPairs(t *testing.T) {
-	for _, b := range []Backend{STM, HTM, HLE} {
+	for _, b := range []Backend{STM, HTM} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			sys := NewSystem(arch.Haswell(), b)

@@ -37,10 +37,10 @@ echo "== go test -race (all packages) =="
 go test -race -short -timeout 10m ./...
 
 echo "== benchmark smoke (one iteration each) =="
-# Keeps the micro-benchmarks compiling and runnable so they can't rot;
-# timings come from scripts/perfgate.sh (htm, the sim handoff and mem,
-# below) and from rtmbench (bench/, end to end).
-go test -run '^$' -bench . -benchtime 1x ./internal/lineset ./internal/mem ./internal/sim ./internal/htm ./internal/tm ./internal/vm
+# Keeps every package's micro-benchmarks compiling and runnable so they
+# can't rot; timings come from scripts/perfgate.sh (htm, the sim handoff
+# and mem, below) and from rtmbench (bench/, end to end).
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== flight-recorder smoke (traced experiment + validation) =="
 # One tiny traced experiment end to end: the trace must be valid JSON
