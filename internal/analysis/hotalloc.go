@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -30,6 +31,9 @@ const hotDirective = "//rtm:hot"
 //     variables are flagged (boxing), as are all fmt calls.
 //   - function literals that capture enclosing variables are flagged
 //     (the closure and its captures move to the heap).
+//   - string concatenation (+ or +=) with a non-constant operand is
+//     flagged once per expression: it builds a fresh string on every
+//     call. Build such names once, outside the hot path.
 func runHotAlloc(u *Unit) []Diagnostic {
 	const pass = "hotalloc"
 	var diags []Diagnostic
@@ -66,6 +70,12 @@ func hotAllocFunc(u *Unit, pass string, fd *ast.FuncDecl) []Diagnostic {
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch e := n.(type) {
+		case *ast.BinaryExpr:
+			if tv := u.Info.Types[e]; e.Op == token.ADD && tv.Value == nil && isString(tv.Type) {
+				diags = append(diags, u.diag(pass, e.Pos(),
+					"string concatenation allocates in //rtm:hot function"))
+				return false // one finding per a + b + c; its operands are part of it
+			}
 		case *ast.UnaryExpr:
 			if _, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok && e.Op.String() == "&" {
 				diags = append(diags, u.diag(pass, e.Pos(),
@@ -86,6 +96,10 @@ func hotAllocFunc(u *Unit, pass string, fd *ast.FuncDecl) []Diagnostic {
 			diags = append(diags, hotAllocCall(u, pass, e, selfAppend)...)
 		case *ast.AssignStmt:
 			diags = append(diags, hotBoxingAssign(u, pass, e)...)
+			if e.Tok == token.ADD_ASSIGN && isString(u.Info.TypeOf(e.Lhs[0])) {
+				diags = append(diags, u.diag(pass, e.Pos(),
+					"string concatenation allocates in //rtm:hot function"))
+			}
 		case *ast.FuncLit:
 			if captured := capturedVars(u, fd, e); len(captured) > 0 {
 				diags = append(diags, u.diag(pass, e.Pos(),
@@ -97,6 +111,14 @@ func hotAllocFunc(u *Unit, pass string, fd *ast.FuncDecl) []Diagnostic {
 		return true
 	})
 	return diags
+}
+
+func isString(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {

@@ -107,3 +107,27 @@ func suppressed(s *state) {
 	//rtmvet:ignore one-time lazy init to the high-water mark, not steady state
 	s.m = make(map[int]int)
 }
+
+const prefix = "site:"
+
+//rtm:hot
+func concat(name string) string {
+	return prefix + name + ":commits" // want `string concatenation`
+}
+
+//rtm:hot
+func concatAssign(s *string, name string) {
+	*s += name // want `string concatenation`
+}
+
+//rtm:hot
+func constConcatOK() string {
+	return prefix + "commits" // constant: folded at compile time
+}
+
+type name string
+
+//rtm:hot
+func definedConcat(n name) name {
+	return n + "!" // want `string concatenation`
+}

@@ -23,7 +23,6 @@ import (
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/energy"
-	"rtmlab/internal/perf"
 	"rtmlab/internal/sim"
 	"rtmlab/internal/tm"
 )
@@ -164,12 +163,12 @@ func Run(sys *tm.System, p Params, seed uint64) Result {
 	}
 
 	abortsBefore := sys.Aborts()
-	started := startedTxns(sys)
+	started := sys.Starts()
 
 	res := body(sys, p, seed)
 
 	aborts := sys.Aborts() - abortsBefore
-	startedNow := startedTxns(sys) - started
+	startedNow := sys.Starts() - started
 	r := Result{
 		Cycles:  res.Cycles,
 		Aborts:  aborts,
@@ -236,18 +235,6 @@ func body(sys *tm.System, p Params, seed uint64) sim.Result {
 			}
 		}
 	})
-}
-
-// startedTxns returns attempted transactions (commits + aborts) so far.
-func startedTxns(sys *tm.System) uint64 {
-	switch sys.Backend {
-	case tm.HTM, tm.HTMBare:
-		return sys.HTM.Counters.Get(perf.RTMStart)
-	case tm.STM:
-		return sys.STM.Counters.Get("stm:begin")
-	default:
-		return sys.Counters.Get("tm:atomic")
-	}
 }
 
 // plan returns a deterministic access pattern of r reads and wr writes with

@@ -184,7 +184,7 @@ func NewSystem(cfg *arch.Config, h *mem.Hierarchy, pt *vm.PageTable) *System {
 		cfg:      cfg,
 		h:        h,
 		pt:       pt,
-		Counters: perf.NewSet(),
+		Counters: perf.NewSet(cfg.MaxThreads()),
 		txs:      make([]*Txn, cfg.MaxThreads()),
 		dir:      lineset.NewTable[track](1024),
 	}
@@ -317,7 +317,7 @@ func (s *System) Begin(tx *Txn) uint32 {
 	tx.pending = false
 	p.AddCycles(s.cfg.TSX.XBeginCost)
 	p.AddInstr(1)
-	s.cntFor(p).Inc(perf.RTMStart)
+	s.Counters.Inc(p.ID(), perf.RTMStart)
 	return Started
 }
 
@@ -475,7 +475,7 @@ func (t *Txn) Commit() {
 	s.clearSets(t)
 	t.active = false
 	t.undo = t.undo[:0]
-	s.Counters.Inc(perf.RTMCommit)
+	s.Counters.Inc(p.ID(), perf.RTMCommit)
 }
 
 // abortTx rolls back the live tx immediately (restoring memory and
@@ -511,25 +511,33 @@ func (s *System) abortTx(tx *Txn, a Abort) {
 	tx.pendingAbort = a
 	tx.proc.AddCycles(s.cfg.TSX.AbortCost)
 
-	s.countAbort(s.Counters, a)
+	s.countAbort(tx.proc.ID(), a)
 	if s.AbortHook != nil {
 		s.AbortHook(tx.proc.ID(), a)
 	}
 }
 
-// countAbort updates the Intel-style performance counters for one abort
-// in c (the shared set, or a per-thread staging set in the shard
-// parallel phase).
-func (s *System) countAbort(c *perf.Set, a Abort) {
-	c.Inc(perf.RTMAborted)
-	c.Inc("htm:abort." + a.Cause.String())
+// abortCounters names the per-cause abort counters, "htm:abort.<cause>".
+var abortCounters = func() (n [obs.NumCauses]string) {
+	for c := range obs.NumCauses {
+		n[c] = "htm:abort." + c.String()
+	}
+	return n
+}()
+
+// countAbort updates thread tid's Intel-style performance counters for
+// one abort.
+func (s *System) countAbort(tid int, a Abort) {
+	c := s.Counters
+	c.Inc(tid, perf.RTMAborted)
+	c.Inc(tid, abortCounters[a.Cause])
 	switch a.Cause {
 	case CauseConflict, CauseReadCapacity, CauseWriteCapacity:
-		c.Inc(perf.RTMAbortedMisc1)
+		c.Inc(tid, perf.RTMAbortedMisc1)
 	case CauseExplicit, CausePageFault, CauseNestDepth:
-		c.Inc(perf.RTMAbortedMisc3)
+		c.Inc(tid, perf.RTMAbortedMisc3)
 	case CauseInterrupt:
-		c.Inc(perf.RTMAbortedMisc5)
+		c.Inc(tid, perf.RTMAbortedMisc5)
 	}
 }
 

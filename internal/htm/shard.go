@@ -37,9 +37,9 @@
 //     RMWs escalate to exclusive boundary operations when the frozen
 //     directory shows a conflicting claim.
 //
-// Parallel-phase counter increments (xbegin, local aborts) go to
-// per-thread staging sets merged after the region; boundary-context
-// increments hit the shared set directly.
+// Counter increments need no special path: perf.Set keeps one map per
+// hardware thread, and a thread's map is written only by its own shard
+// worker mid-phase (xbegin, local aborts) or at a serial boundary.
 package htm
 
 import (
@@ -61,7 +61,6 @@ const (
 // initShard wires the shard-mode state for tx. Called from Attach when
 // the proc runs under the sharded engine.
 func (s *System) initShard(p *sim.Proc, tx *Txn) {
-	s.Counters.Stage(p.ID(), s.cfg.MaxThreads())
 	if tx.redo == nil {
 		tx.redo = lineset.NewTable[int64](64)
 	}
@@ -94,15 +93,6 @@ func (s *System) initShard(p *sim.Proc, tx *Txn) {
 	eng := p.Engine()
 	eng.ShardApply = s.shardApply
 	eng.ShardRawStore = s.shardRawStore
-}
-
-// cntFor returns the counter set increments must go to from p's current
-// context: the per-thread staging set during the parallel phase, the
-// shared set everywhere else.
-//
-//rtm:hot
-func (s *System) cntFor(p *sim.Proc) *perf.Set {
-	return s.Counters.For(p.ID(), p.ShardActive())
 }
 
 // shardLoad is Txn.Load during the parallel phase: the conflict probe
@@ -237,7 +227,7 @@ func (s *System) shardCommit(t *Txn) {
 	t.active = false
 	t.nest = 0
 	t.gen++
-	s.Counters.Inc(perf.RTMCommit)
+	s.Counters.Inc(p.ID(), perf.RTMCommit)
 }
 
 // localAbort rolls tx back during the parallel phase, on (or on behalf
@@ -288,9 +278,9 @@ func (t *Txn) localAbort(a Abort) {
 	t.pending = true
 	t.pendingAbort = a
 	p.AddCycles(s.cfg.TSX.AbortCost)
-	s.countAbort(s.Counters.For(p.ID(), true), a)
+	s.countAbort(p.ID(), a)
 	if s.AbortHook != nil {
-		s.AbortHook(p.ID(), a) // stages its own counters in shard mode
+		s.AbortHook(p.ID(), a)
 	}
 }
 

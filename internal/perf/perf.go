@@ -6,74 +6,49 @@
 // "RTM_RETIRED:START", "RTM_RETIRED:ABORTED_MISC1".
 package perf
 
-// Set is a collection of named counters. The zero value is not usable; use
-// NewSet. Sets are not safe for concurrent use: simulated threads that
-// run concurrently (the sharded engine's parallel phase) each count into
-// a private staging set instead (see Stage).
+// Set is a collection of named counters kept per hardware thread: each
+// thread counts into its own map, and reads sum over the threads. The
+// zero value is not usable; use NewSet. A thread's counts may be written
+// only by one context at a time — under the sharded engine, its own
+// shard worker during the parallel phase and the serial boundary
+// otherwise — so threads that run concurrently never share a map.
 type Set struct {
-	m map[string]uint64
-	// staged holds the per-thread staging sets, indexed by thread id
-	// (nil until a thread is staged).
-	staged []*Set
+	m []map[string]uint64 // indexed by thread id
 }
 
-// NewSet returns an empty counter set.
-func NewSet() *Set { return &Set{m: make(map[string]uint64)} }
-
-// Inc increments a counter by one.
-func (s *Set) Inc(name string) { s.m[name]++ }
-
-// Add increments a counter by n.
-func (s *Set) Add(name string, n uint64) { s.m[name] += n }
-
-// Get returns the value of a counter (zero if never touched).
-func (s *Set) Get(name string) uint64 { return s.m[name] }
-
-// Snapshot returns a copy of the current values.
-func (s *Set) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Stage gives thread tid, one of n, a private staging set, so that it
-// can count while other threads run concurrently. MergeStaged folds the
-// staging sets back into s.
-func (s *Set) Stage(tid, n int) {
-	if s.staged == nil {
-		s.staged = make([]*Set, n)
-	}
-	if s.staged[tid] == nil {
-		s.staged[tid] = NewSet()
-	}
-}
-
-// For returns the set thread tid counts into: its staging set when
-// staged, s itself otherwise.
-//
-//rtm:hot
-func (s *Set) For(tid int, staged bool) *Set {
-	if staged {
-		return s.staged[tid]
+// NewSet returns an empty counter set for n hardware threads.
+func NewSet(n int) *Set {
+	s := &Set{m: make([]map[string]uint64, n)}
+	for i := range s.m {
+		s.m[i] = make(map[string]uint64)
 	}
 	return s
 }
 
-// MergeStaged folds every staging set into s and empties them. Call it
-// once the staged threads have quiesced; additions commute, so the fold
-// order cannot affect the result.
-func (s *Set) MergeStaged() {
-	for _, st := range s.staged {
-		if st == nil {
-			continue
-		}
-		for k, v := range st.m {
-			s.m[k] += v
-		}
-		clear(st.m)
+// Inc increments thread tid's count of a counter by one.
+func (s *Set) Inc(tid int, name string) { s.m[tid][name]++ }
+
+// Add increments thread tid's count of a counter by n.
+func (s *Set) Add(tid int, name string, n uint64) { s.m[tid][name] += n }
+
+// Get returns a counter summed over the threads (zero if never touched).
+func (s *Set) Get(name string) uint64 {
+	var n uint64
+	for _, m := range s.m {
+		n += m[name]
 	}
+	return n
+}
+
+// Snapshot returns a copy of the current values, summed over the threads.
+func (s *Set) Snapshot() map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, m := range s.m {
+		for k, v := range m {
+			out[k] += v
+		}
+	}
+	return out
 }
 
 // Intel RTM performance-counter names used throughout the harness (see

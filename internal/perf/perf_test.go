@@ -3,10 +3,10 @@ package perf
 import "testing"
 
 func TestIncAddGet(t *testing.T) {
-	s := NewSet()
-	s.Inc(RTMStart)
-	s.Inc(RTMStart)
-	s.Add(RTMAborted, 5)
+	s := NewSet(1)
+	s.Inc(0, RTMStart)
+	s.Inc(0, RTMStart)
+	s.Add(0, RTMAborted, 5)
 	if s.Get(RTMStart) != 2 {
 		t.Errorf("start = %d", s.Get(RTMStart))
 	}
@@ -19,11 +19,11 @@ func TestIncAddGet(t *testing.T) {
 }
 
 func TestSnapshotSub(t *testing.T) {
-	s := NewSet()
-	s.Add(RTMStart, 10)
+	s := NewSet(1)
+	s.Add(0, RTMStart, 10)
 	snap := s.Snapshot()
-	s.Add(RTMStart, 7)
-	s.Add(RTMCommit, 3)
+	s.Add(0, RTMStart, 7)
+	s.Add(0, RTMCommit, 3)
 	if d := s.Get(RTMStart) - snap[RTMStart]; d != 7 {
 		t.Fatalf("start delta = %d", d)
 	}
@@ -37,19 +37,28 @@ func TestSnapshotSub(t *testing.T) {
 	}
 }
 
-func TestStagedCountsMergeOnce(t *testing.T) {
-	s := NewSet()
-	s.Stage(1, 4)
-	s.Stage(3, 4)
-	s.For(1, false).Inc("x") // unstaged: straight into s
-	s.For(1, true).Add("x", 2)
-	s.For(3, true).Inc("y")
-	if s.Get("x") != 1 || s.Get("y") != 0 {
-		t.Fatalf("staged counts leaked before the merge: x=%d y=%d", s.Get("x"), s.Get("y"))
-	}
-	s.MergeStaged()
-	s.MergeStaged() // the staging sets are empty now
+func TestPerThreadCountsSum(t *testing.T) {
+	s := NewSet(4)
+	s.Inc(1, "x")
+	s.Add(3, "x", 2)
+	s.Inc(3, "y")
+	s.Add(0, "z", 0) // a touched zero stays in the snapshot
 	if s.Get("x") != 3 || s.Get("y") != 1 {
-		t.Fatalf("after merge: x=%d y=%d, want 3 and 1", s.Get("x"), s.Get("y"))
+		t.Fatalf("Get: x=%d y=%d, want 3 and 1", s.Get("x"), s.Get("y"))
+	}
+	snap := s.Snapshot()
+	want := map[string]uint64{"x": 3, "y": 1, "z": 0}
+	if len(snap) != len(want) {
+		t.Fatalf("Snapshot = %v, want %v", snap, want)
+	}
+	for k, v := range want {
+		if got, ok := snap[k]; !ok || got != v {
+			t.Fatalf("Snapshot = %v, want %v", snap, want)
+		}
+	}
+	snap["x"] = 999
+	s.Inc(2, "x")
+	if s.Get("x") != 4 || snap["x"] != 999 {
+		t.Fatalf("snapshot aliases the live set: live x=%d, snapshot x=%d", s.Get("x"), snap["x"])
 	}
 }

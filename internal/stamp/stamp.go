@@ -77,10 +77,10 @@ func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(
 
 	setup := sys.Run(1, seed, func(c *tm.Ctx) { b.Setup(c, seed) })
 
-	snapAll := allCounters(sys)
+	countersBefore := sys.Counters.Snapshot()
 	abortsBefore := sys.Aborts()
-	startsBefore := starts(sys)
-	commitsBefore := commits(sys)
+	startsBefore := sys.Starts()
+	commitsBefore := sys.Commits()
 
 	var roi sim.Result
 	var measure energy.Measure
@@ -112,15 +112,18 @@ func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(
 		Cycles:      roi.Cycles,
 		EnergyJ:     report.Total(),
 		Instr:       roi.TotalInstr(),
-		Starts:      starts(sys) - startsBefore,
-		Commits:     commits(sys) - commitsBefore,
+		Starts:      sys.Starts() - startsBefore,
+		Commits:     sys.Commits() - commitsBefore,
 		Aborts:      sys.Aborts() - abortsBefore,
 		Fallbacks:   sys.Counters.Get("tm:fallback"),
 	}
 	if res.Starts > 0 {
 		res.AbortRate = float64(res.Aborts) / float64(res.Starts)
 	}
-	res.Counters = deltaCounters(sys, snapAll)
+	res.Counters = sys.Counters.Snapshot()
+	for k, v := range res.Counters {
+		res.Counters[k] = v - countersBefore[k]
+	}
 	res.Counters["prefetches"] = roi.MemStats.Prefetches
 	fillBreakdown(&res)
 	return res, b.Validate(sys)
@@ -156,60 +159,15 @@ func (a *roiAccum) total() sim.Result {
 	}
 }
 
-func starts(sys *tm.System) uint64 {
-	switch sys.Backend {
-	case tm.HTM, tm.HTMBare:
-		return sys.HTM.Counters.Get(perf.RTMStart)
-	case tm.STM:
-		return sys.STM.Counters.Get("stm:begin")
-	default:
-		return sys.Counters.Get("tm:atomic")
-	}
-}
-
-func commits(sys *tm.System) uint64 {
-	switch sys.Backend {
-	case tm.HTM, tm.HTMBare:
-		return sys.HTM.Counters.Get(perf.RTMCommit)
-	case tm.STM:
-		return sys.STM.Counters.Get("stm:commit")
-	default:
-		return sys.Counters.Get("tm:atomic")
-	}
-}
-
-func allCounters(sys *tm.System) map[string]uint64 {
-	out := sys.Counters.Snapshot()
-	if sys.HTM != nil {
-		for k, v := range sys.HTM.Counters.Snapshot() {
-			out["htm/"+k] = v
-		}
-	}
-	if sys.STM != nil {
-		for k, v := range sys.STM.Counters.Snapshot() {
-			out["stm/"+k] = v
-		}
-	}
-	return out
-}
-
-func deltaCounters(sys *tm.System, prev map[string]uint64) map[string]uint64 {
-	now := allCounters(sys)
-	for k, v := range now {
-		now[k] = v - prev[k]
-	}
-	return now
-}
-
 // fillBreakdown derives the Fig. 12 abort categories from the counters.
 func fillBreakdown(r *Result) {
 	c := r.Counters
 	lockConfl := c["tm:abort.lock.conflict"]
 	r.Lock = c["tm:abort.lock"]
-	r.ConflictOrReadCap = c["htm/htm:abort.conflict"] + c["htm/htm:abort.read-capacity"] - lockConfl
-	r.WriteCapacity = c["htm/htm:abort.write-capacity"]
-	r.Misc3 = c["htm/"+perf.RTMAbortedMisc3] - c["tm:abort.lock.explicit"]
-	r.Misc5 = c["htm/"+perf.RTMAbortedMisc5]
+	r.ConflictOrReadCap = c["htm:abort.conflict"] + c["htm:abort.read-capacity"] - lockConfl
+	r.WriteCapacity = c["htm:abort.write-capacity"]
+	r.Misc3 = c[perf.RTMAbortedMisc3] - c["tm:abort.lock.explicit"]
+	r.Misc5 = c[perf.RTMAbortedMisc5]
 }
 
 // Registry lists the suite in the paper's order.

@@ -123,7 +123,7 @@ func (t *Txn) commitNOrec() {
 	// Release: bump to the next even value.
 	t.proc.Store(s.clockAddr, int64(t.rv+2))
 	t.finish()
-	s.Counters.Inc("stm:commit")
+	s.Counters.Inc(t.proc.ID(), "stm:commit")
 }
 
 // validateNOrec re-reads every read-set entry and compares values,
@@ -152,7 +152,7 @@ func (t *Txn) validateNOrec() {
 		// The pass only counts if no writer slipped in underneath it.
 		if uint64(t.proc.PeekShared(s.clockAddr)) == v {
 			t.rv = v
-			t.cnt().Inc("stm:extend")
+			s.Counters.Inc(t.proc.ID(), "stm:extend")
 			t.proc.RecordCounter("stm:extend", 1)
 			return
 		}

@@ -18,19 +18,10 @@
 //   - Abort releases held locks with plain stores; those are buffered
 //     and land at the boundary in cycle order, before any retry
 //     attempt's acquisitions (whose issue cycles are later).
-//   - Counters from the parallel phase go to per-thread staging sets
-//     (perf.Set.Stage); boundary-context increments hit the shared set
-//     directly. Recorder traffic goes through sim.Proc.RecordEvent and
-//     RecordCounter, which defer it as the phase requires.
+//   - Counters need no special path: perf.Set keeps one map per
+//     hardware thread, written only by the thread's own shard worker
+//     mid-phase or at a serial boundary. Recorder traffic goes through
+//     sim.Proc.RecordEvent and RecordCounter, which defer it as the
+//     phase requires.
 
 package stm
-
-import "rtmlab/internal/perf"
-
-// cnt returns the counter set for t's current context: per-thread
-// staging during the parallel phase, the shared set everywhere else.
-//
-//rtm:hot
-func (t *Txn) cnt() *perf.Set {
-	return t.sys.Counters.For(t.proc.ID(), t.proc.ShardActive())
-}

@@ -70,6 +70,7 @@ const (
 	// ReasonFault marks an attempt torn down because its body raised a
 	// runtime fault on an inconsistent (doomed) read view; see Txn.Fault.
 	ReasonFault
+	NumReasons
 )
 
 func (r Reason) String() string {
@@ -85,7 +86,16 @@ func (r Reason) String() string {
 	}
 }
 
+// abortCounters names the per-reason abort counters, "stm:abort.<reason>".
+var abortCounters = func() (n [NumReasons]string) {
+	for r := range NumReasons {
+		n[r] = "stm:abort." + r.String()
+	}
+	return n
+}()
+
 // ObsCause maps a Reason onto the unified abort-cause taxonomy. A fault
+
 // is the visible symptom of a stale view that validation would have
 // rejected, so it classifies as a validation abort.
 func (r Reason) ObsCause() obs.Cause {
@@ -142,7 +152,7 @@ func NewSystem(cfg *arch.Config, h *mem.Hierarchy, pt *vm.PageTable) *System {
 		cfg:        cfg,
 		h:          h,
 		pt:         pt,
-		Counters:   perf.NewSet(),
+		Counters:   perf.NewSet(cfg.MaxThreads()),
 		clockAddr:  MetaBase,
 		lockBase:   MetaBase + arch.PageSize,
 		lockMask:   (1 << uint(cfg.STM.LockArrayLog2)) - 1,
@@ -218,7 +228,6 @@ func (s *System) Attach(p *sim.Proc) *Txn {
 		ownedIdx: lineset.NewTable[int32](256),
 	}
 	if p.Sharded() {
-		s.Counters.Stage(p.ID(), s.cfg.MaxThreads())
 		proto.shardInit(tx)
 	}
 	return tx
@@ -241,7 +250,7 @@ func (t *Txn) Begin() {
 	t.active = true
 	t.reads = t.reads[:0]
 	t.vreads = t.vreads[:0]
-	t.cnt().Inc("stm:begin")
+	s.Counters.Inc(t.proc.ID(), "stm:begin")
 }
 
 // abort releases held locks, applies backoff and unwinds. In the shard
@@ -279,9 +288,9 @@ func (t *Txn) rollback(reason Reason) {
 	t.clearSets()
 	t.active = false
 	t.attempts++
-	c := t.cnt()
-	c.Inc("stm:abort")
-	c.Inc("stm:abort." + reason.String())
+	tid := t.proc.ID()
+	s.Counters.Inc(tid, "stm:abort")
+	s.Counters.Inc(tid, abortCounters[reason])
 	// Bounded exponential backoff with deterministic jitter.
 	shift := t.attempts
 	if shift > 12 {
@@ -338,7 +347,7 @@ func (t *Txn) extend() bool {
 		return false
 	}
 	t.rv = now
-	t.cnt().Inc("stm:extend")
+	s.Counters.Inc(t.proc.ID(), "stm:extend")
 	t.proc.RecordCounter("stm:extend", 1)
 	return true
 }
@@ -399,7 +408,7 @@ func (t *Txn) Commit() {
 	if len(t.writes) == 0 {
 		// Read-only fast path: snapshot is already consistent.
 		t.finish()
-		t.cnt().Inc("stm:commit")
+		s.Counters.Inc(t.proc.ID(), "stm:commit")
 		return
 	}
 	s.proto.Commit(t)

@@ -182,5 +182,5 @@ func (t *Txn) commitTiny() {
 		t.proc.Store(oe.lockAddr, versionWord(cv))
 	}
 	t.finish()
-	s.Counters.Inc("stm:commit")
+	s.Counters.Inc(t.proc.ID(), "stm:commit")
 }

@@ -144,7 +144,7 @@ func (t *Txn) commitTL2() {
 		t.proc.Store(oe.lockAddr, versionWord(cv))
 	}
 	t.finish()
-	s.Counters.Inc("stm:commit")
+	s.Counters.Inc(t.proc.ID(), "stm:commit")
 }
 
 // validateTL2 checks every read entry against the current lock words.

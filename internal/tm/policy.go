@@ -131,7 +131,7 @@ func (c *Ctx) Atomic(body func(t Tx)) {
 	}
 	c.inTx = true
 	defer func() { c.inTx = false }()
-	c.cnt().Inc("tm:atomic")
+	c.count("tm:atomic")
 	c.resetFrees()
 	c.blockStart = c.P.Cycles()
 	c.attemptStart = c.blockStart
@@ -139,7 +139,7 @@ func (c *Ctx) Atomic(body func(t Tx)) {
 	p := &c.sys.policy
 	if !c.phase(body, p.mode, p.budget) {
 		g := &guards[p.guard]
-		c.cnt().Inc(g.counter)
+		c.count(g.counter)
 		c.obsFallback()
 		c.phase(body, p.fallback, unbounded)
 	}
@@ -257,13 +257,13 @@ func (c *Ctx) recoverAttempt(r any, mode attemptMode) outcome {
 		if !ok {
 			panic(r)
 		}
-		c.cnt().Inc("tm:fault.sandbox")
+		c.count("tm:fault.sandbox")
 	}
 	if mode == modeSoftware {
-		c.recordAbort(sa.Reason.String(), sa.Reason.ObsCause(), sa.Addr, sa.By)
+		c.recordAbort(stmAbort+int(sa.Reason), sa.Reason.ObsCause(), sa.Addr, sa.By)
 		return aborted
 	}
-	c.recordAbort(ha.Cause.String(), ha.Cause, ha.ConflictLine, ha.ByThread)
+	c.recordAbort(int(ha.Cause), ha.Cause, ha.ConflictLine, ha.ByThread)
 	return c.sys.policy.guard.classify(ha)
 }
 
@@ -281,12 +281,15 @@ func (g guard) classify(a htm.Abort) outcome {
 	return aborted
 }
 
-// recordAbort counts and records one aborted speculative attempt.
-func (c *Ctx) recordAbort(cause string, oc obs.Cause, line uint64, by int) {
-	if c.site != "" {
-		cnt := c.cnt()
-		cnt.Inc("site:" + c.site + ":aborts")
-		cnt.Inc("site:" + c.site + ":abort." + cause)
+// recordAbort counts and records one aborted speculative attempt; cause
+// indexes siteCounters.abort.
+//
+//rtm:hot
+func (c *Ctx) recordAbort(cause int, oc obs.Cause, line uint64, by int) {
+	if sc := c.site; sc != nil {
+		tid := c.P.ID()
+		c.sys.Counters.Inc(tid, sc.aborts)
+		c.sys.Counters.Inc(tid, sc.abort[cause])
 	}
 	c.obsAbort(oc, line, by)
 }

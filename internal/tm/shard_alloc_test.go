@@ -8,7 +8,8 @@ import (
 
 // TestShardAtomicCycleZeroAlloc pins the //rtm:hot contract across the
 // sharded stack: once a few transactions have grown the logs, linesets,
-// staging counter sets and deferred-op buffers to their high-water mark,
+// per-thread counter maps and deferred-op buffers to their high-water mark,
+
 // a full atomic read-modify-write cycle — including the epoch-boundary
 // park, exchange and replay it triggers — allocates nothing. A new
 // allocation on this path would show up as per-transaction garbage in

@@ -7,6 +7,7 @@ import (
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/obs"
+	"rtmlab/internal/perf"
 )
 
 // shardBackends are the backends exercised under the sharded engine.
@@ -42,8 +43,6 @@ type bankFingerprint struct {
 	ThreadCycles []uint64
 	Instr        uint64
 	Counters     map[string]uint64
-	HTM          map[string]uint64
-	STM          map[string]uint64
 	Balances     []int64
 }
 
@@ -64,12 +63,6 @@ func bankRun(cfg *arch.Config, b Backend, threads, iters int) bankFingerprint {
 		Instr:        res.TotalInstr(),
 		Counters:     sys.Counters.Snapshot(),
 	}
-	if sys.HTM != nil {
-		fp.HTM = sys.HTM.Counters.Snapshot()
-	}
-	if sys.STM != nil {
-		fp.STM = sys.STM.Counters.Snapshot()
-	}
 	for i := 0; i < nAccounts; i++ {
 		fp.Balances = append(fp.Balances, sys.H.Peek(uint64(i)*arch.LineSize))
 	}
@@ -83,14 +76,9 @@ func diffFingerprint(t *testing.T, want, got bankFingerprint, label string) {
 			label, got.Cycles, got.ThreadCycles, got.Instr, want.Cycles, want.ThreadCycles, want.Instr)
 	}
 	if !reflect.DeepEqual(want.Counters, got.Counters) {
-		t.Errorf("%s: tm counters diverge:\n got %v\nwant %v", label, got.Counters, want.Counters)
+		t.Errorf("%s: counters diverge:\n got %v\nwant %v", label, got.Counters, want.Counters)
 	}
-	if !reflect.DeepEqual(want.HTM, got.HTM) {
-		t.Errorf("%s: htm counters diverge:\n got %v\nwant %v", label, got.HTM, want.HTM)
-	}
-	if !reflect.DeepEqual(want.STM, got.STM) {
-		t.Errorf("%s: stm counters diverge:\n got %v\nwant %v", label, got.STM, want.STM)
-	}
+
 	if !reflect.DeepEqual(want.Balances, got.Balances) {
 		t.Errorf("%s: balances diverge:\n got %v\nwant %v", label, got.Balances, want.Balances)
 	}
@@ -202,6 +190,33 @@ func TestShardObsInvariance(t *testing.T) {
 				t.Errorf("shards=%d: thread %d timeline diverges (%d events, want %d)",
 					shards, tid, len(events[tid]), len(wantEvents[tid]))
 			}
+		}
+	}
+}
+
+// TestOneCounterSetPerMachine pins that every layer of a machine counts
+// into one perf.Set, on the sharded engine too: the tm, htm and stm
+// handles are the same set, so each name behind the Fig. 12 abort
+// breakdown (bench's abortCounters) reads the same through all three.
+func TestOneCounterSetPerMachine(t *testing.T) {
+	sys := NewSystem(shardCfg(2, 0), Hybrid)
+	sys.Run(4, 7, bankBody(2, 60))
+	if sys.HTM.Counters != sys.Counters || sys.STM.Counters != sys.Counters {
+		t.Fatal("tm, htm and stm count into different sets")
+	}
+	for _, name := range []string{
+		"tm:fallback", "tm:abort.lock", "tm:abort.lock.conflict", "tm:abort.lock.explicit",
+		"htm:abort.conflict", "htm:abort.read-capacity", "htm:abort.write-capacity",
+		perf.RTMAbortedMisc3, perf.RTMAbortedMisc5, "stm:abort",
+	} {
+		c, h, s := sys.Counters.Get(name), sys.HTM.Counters.Get(name), sys.STM.Counters.Get(name)
+		if c != h || c != s {
+			t.Errorf("%s reads %d via Counters, %d via HTM.Counters, %d via STM.Counters", name, c, h, s)
+		}
+	}
+	for _, name := range []string{"tm:hybrid.fallback", "htm:abort.conflict", "stm:begin"} {
+		if sys.Counters.Get(name) == 0 {
+			t.Errorf("%s = 0: the run exercised no such path", name)
 		}
 	}
 }

@@ -109,18 +109,6 @@ type System struct {
 	Obs *obs.Recorder
 }
 
-// mergeStaged folds every layer's per-thread staged counters into the
-// shared sets. Called once per region, after the engine has quiesced.
-func (s *System) mergeStaged() {
-	s.Counters.MergeStaged()
-	if s.HTM != nil {
-		s.HTM.Counters.MergeStaged()
-	}
-	if s.STM != nil {
-		s.STM.Counters.MergeStaged()
-	}
-}
-
 // SetRecorder attaches a flight recorder to the system and its simulated
 // machine (nil detaches). All layers share the one recorder: tm emits
 // transaction events, mem/htm/stm/sim reach it through H.Rec.
@@ -130,7 +118,8 @@ func (s *System) SetRecorder(r *obs.Recorder) {
 }
 
 // NewSystem builds a fresh machine (hierarchy, page table, heap) and TM
-// runtime for the given backend.
+// runtime for the given backend. Every layer counts into Counters, one
+// set per machine: HTM.Counters and STM.Counters are the same set.
 func NewSystem(cfg *arch.Config, backend Backend) *System {
 	h := mem.New(cfg)
 	pt := vm.NewPageTable()
@@ -141,17 +130,19 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 		Heap:       alloc.NewHeap(pt),
 		Backend:    backend,
 		MaxRetries: DefaultMaxRetries,
-		Counters:   perf.NewSet(),
+		Counters:   perf.NewSet(cfg.MaxThreads()),
 		policy:     policies[backend],
 		pools:      make([]*alloc.Pool, cfg.MaxThreads()),
 		ctxs:       make([]*Ctx, cfg.MaxThreads()),
 	}
 	if s.policy.mode == modeHardware {
 		s.HTM = htm.NewSystem(cfg, h, pt)
+		s.HTM.Counters = s.Counters
 		s.HTM.AbortHook = s.countLockAbort
 	}
 	if s.policy.mode == modeSoftware || s.policy.fallback == modeSoftware {
 		s.STM = stm.NewSystem(cfg, h, pt)
+		s.STM.Counters = s.Counters
 	}
 	if cfg.Shard.Shards != 0 {
 		// Shard mode pre-touches fresh chunks at refill time: demand
@@ -163,34 +154,43 @@ func NewSystem(cfg *arch.Config, backend Backend) *System {
 	return s
 }
 
-// countLockAbort classifies a hardware abort caused by the serialisation
-// lock a fallback path took ("lock aborts", Fig. 12).
-//
-// Under the sharded engine the count is staged even at a boundary: the
-// hook also fires from a shard worker, on a local abort.
+// countLockAbort classifies a hardware abort of thread tid caused by the
+// serialisation lock a fallback path took ("lock aborts", Fig. 12).
 func (s *System) countLockAbort(tid int, a htm.Abort) {
-	cnt := s.Counters.For(tid, s.ctxs[tid].P.Sharded())
 	switch guardSerial.classify(a) {
 	case guardTaken:
-		cnt.Inc("tm:abort.lock")
-		cnt.Inc("tm:abort.lock.conflict")
+		s.Counters.Inc(tid, "tm:abort.lock")
+		s.Counters.Inc(tid, "tm:abort.lock.conflict")
 	case guardHeld:
-		cnt.Inc("tm:abort.lock")
-		cnt.Inc("tm:abort.lock.explicit")
+		s.Counters.Inc(tid, "tm:abort.lock")
+		s.Counters.Inc(tid, "tm:abort.lock.explicit")
 	}
 }
 
 // Aborts returns the total transaction aborts so far (for energy
 // accounting).
 func (s *System) Aborts() uint64 {
-	var n uint64
-	if s.HTM != nil {
-		n += s.HTM.Counters.Get(perf.RTMAborted)
+	return s.Counters.Get(perf.RTMAborted) + s.Counters.Get("stm:abort")
+}
+
+// Starts returns the transactions started so far: hardware attempts
+// under the RTM backends, software attempts under STM, atomic blocks
+// under every other backend.
+func (s *System) Starts() uint64 { return s.Counters.Get(s.txCounters()[0]) }
+
+// Commits returns the transactions committed so far, counted as Starts
+// counts them.
+func (s *System) Commits() uint64 { return s.Counters.Get(s.txCounters()[1]) }
+
+// txCounters names the counters Starts and Commits read.
+func (s *System) txCounters() [2]string {
+	switch s.Backend {
+	case HTM, HTMBare:
+		return [2]string{perf.RTMStart, perf.RTMCommit}
+	case STM:
+		return [2]string{"stm:begin", "stm:commit"}
 	}
-	if s.STM != nil {
-		n += s.STM.Counters.Get("stm:abort")
-	}
-	return n
+	return [2]string{"tm:atomic", "tm:atomic"}
 }
 
 // Run executes body on n simulated threads, attaching a Ctx to each, and
@@ -201,9 +201,10 @@ func (s *System) Run(n int, seed uint64, body func(c *Ctx)) sim.Result {
 		// pre-touching allocator in sync with the engine choice.
 		s.Heap.PreTouch = true
 	}
-	// attach mutates shared state (heap pools, staging slices, the shard
-	// engine's hooks), so it runs in the engine's serial setup phase; the
-	// bodies — concurrent under the sharded engine — get the prepared Ctx.
+	// attach mutates shared state (heap pools, the shard engine's hooks),
+	// so it runs in the engine's serial setup phase; the bodies —
+	// concurrent under the sharded engine — get the prepared Ctx.
+
 	start := time.Now() //rtmvet:ignore host-side wall clock for the timing sidecar; never feeds simulated state
 	res := sim.Run(s.Arch, s.H, n, seed, func(p *sim.Proc) {
 		s.attach(p)
@@ -215,7 +216,6 @@ func (s *System) Run(n int, seed uint64, body func(c *Ctx)) sim.Result {
 		// quantity stays deterministic.
 		s.Obs.AddWall(int64(time.Since(start))) //rtmvet:ignore host-side wall clock for the timing sidecar; never feeds simulated state
 	}
-	s.mergeStaged()
 	if s.RegionHook != nil {
 		s.RegionHook(res)
 	}
@@ -236,9 +236,6 @@ func (s *System) Measure(res sim.Result, abortsBefore uint64) energy.Measure {
 // attach builds the per-thread context.
 func (s *System) attach(p *sim.Proc) *Ctx {
 	tid := p.ID()
-	if p.Sharded() {
-		s.Counters.Stage(tid, s.Arch.MaxThreads())
-	}
 	if s.pools[tid] == nil {
 		s.pools[tid] = s.Heap.NewPool()
 	}
@@ -247,7 +244,7 @@ func (s *System) attach(p *sim.Proc) *Ctx {
 		c = &Ctx{}
 		s.ctxs[tid] = c
 	}
-	*c = Ctx{sys: s, P: p, Pool: s.pools[tid], obsSite: -1}
+	*c = Ctx{sys: s, P: p, Pool: s.pools[tid]}
 	c.rmwFn = func() {
 		c.P.AddCycles(c.sys.Arch.Lat.AtomicRMW)
 		c.P.StoreTiming(c.rmwAddr)
@@ -274,24 +271,24 @@ type Ctx struct {
 	htx   *htm.Txn
 	stx   *stm.Txn
 	inTx  bool
-	site  string
 	frees []pendingFree
 
 	// aborts counts the aborted attempts of the current (after it
 	// returns, the last) atomic block.
 	aborts int
 
-	// Flight-recorder state: the interned id of the current site, the
-	// cycle the atomic block started (commit slices span the whole block,
-	// retries included) and the cycle the current attempt started (abort
-	// slices cover just the wasted attempt).
-	obsSite      int32
+	// site is the current AtomicSite's entry in sites (nil outside
+	// one); sites is this thread's site table, which attach clears, so a
+	// cached recorder id always belongs to the current recorder.
+	site  *siteCounters
+	sites map[string]*siteCounters
+
+	// Flight-recorder state: the cycle the atomic block started (commit
+	// slices span the whole block, retries included) and the cycle the
+	// current attempt started (abort slices cover just the wasted
+	// attempt).
 	blockStart   uint64
 	attemptStart uint64
-
-	// siteIDs caches recorder site-id interning per thread; attach
-	// clears it, so a cached id always belongs to the current recorder.
-	siteIDs map[string]int32
 
 	// rmwFn is the persistent boundary closure for sharded RMW, with its
 	// arguments and result passed through the fields below — allocating a
@@ -309,14 +306,8 @@ type Ctx struct {
 	waitGuard guard
 }
 
-// cnt returns the counter set for this thread's current context:
-// per-thread staging during the shard parallel phase, the shared set
-// everywhere else.
-//
-//rtm:hot
-func (c *Ctx) cnt() *perf.Set {
-	return c.sys.Counters.For(c.P.ID(), c.P.ShardActive())
-}
+// count increments this thread's count of a counter.
+func (c *Ctx) count(name string) { c.sys.Counters.Inc(c.P.ID(), name) }
 
 // System returns the owning system.
 func (c *Ctx) System() *System { return c.sys }
@@ -443,37 +434,68 @@ func (c *Ctx) Retries() int { return c.aborts }
 // counters accumulate in System.Counters: "site:<name>:commits",
 // ":cycles" (inclusive of retries), ":aborts" and ":abort.<cause>" —
 // the inputs for the paper's per-transaction tables (IV and V).
+//
+//rtm:hot
 func (c *Ctx) AtomicSite(site string, body func(t Tx)) {
-	prev, prevID := c.site, c.obsSite
-	c.site = site
-	c.obsSite = c.siteID(c.sys.Obs, site)
+	prev := c.site
+	sc := c.sites[site]
+	if sc == nil {
+		sc = c.newSite(site)
+	}
+	c.site = sc
 	start := c.P.Cycles()
 	c.Atomic(body)
-	cnt := c.cnt()
-	cnt.Add("site:"+site+":cycles", c.P.Cycles()-start)
-	cnt.Inc("site:" + site + ":commits")
-	c.site, c.obsSite = prev, prevID
+	tid := c.P.ID()
+	c.sys.Counters.Add(tid, sc.cycles, c.P.Cycles()-start)
+	c.sys.Counters.Inc(tid, sc.commits)
+	c.site = prev
 }
 
-// siteID interns site on the recorder. SiteID is mutex-guarded for
-// exactly this call: interning from the shard parallel phase must not
-// take a simulated-time path (a park or exclusive boundary op), or the
-// simulation's outcome would depend on whether a recorder is attached.
-// The id is cached per thread on both engines, keeping the mutex off the
-// steady-state hot path.
-func (c *Ctx) siteID(r *obs.Recorder, site string) int32 {
-	if r == nil {
+// siteCounters is one site's entry in a thread's site table: its
+// counter names, built once, and its recorder id.
+type siteCounters struct {
+	cycles, commits, aborts string
+	// abort names ":abort.<cause>" by an htm.Cause, then by
+	// stmAbort+stm.Reason.
+	abort [stmAbort + int(stm.NumReasons)]string
+	obs   int32 // recorder site id, -1 without a recorder
+}
+
+// stmAbort is the index of the first stm reason in siteCounters.abort.
+const stmAbort = int(obs.NumCauses)
+
+// newSite adds site to this thread's site table at its first block.
+// Recorder.SiteID is mutex-guarded for exactly this call: interning from
+// the shard parallel phase must not take a simulated-time path (a park
+// or exclusive boundary op), or the simulation's outcome would depend on
+// whether a recorder is attached. The table keeps the mutex off the
+// steady-state hot path on both engines.
+func (c *Ctx) newSite(site string) *siteCounters {
+	key := "site:" + site + ":"
+	sc := &siteCounters{cycles: key + "cycles", commits: key + "commits", aborts: key + "aborts", obs: -1}
+	for cause := range obs.NumCauses {
+		sc.abort[cause] = key + "abort." + cause.String()
+	}
+	for r := range stm.NumReasons {
+		sc.abort[stmAbort+int(r)] = key + "abort." + r.String()
+	}
+	if r := c.sys.Obs; r != nil {
+		sc.obs = r.SiteID(site)
+	}
+	if c.sites == nil {
+		c.sites = make(map[string]*siteCounters)
+	}
+	c.sites[site] = sc
+	return sc
+}
+
+// obsSite returns the recorder id of the current site (-1 outside
+// AtomicSite or without a recorder).
+func (c *Ctx) obsSite() int32 {
+	if c.site == nil {
 		return -1
 	}
-	if id, ok := c.siteIDs[site]; ok {
-		return id
-	}
-	id := r.SiteID(site)
-	if c.siteIDs == nil {
-		c.siteIDs = make(map[string]int32)
-	}
-	c.siteIDs[site] = id
-	return id
+	return c.site.obs
 }
 
 // beginAttempt marks the start of one attempt of the current atomic
@@ -483,14 +505,14 @@ func (c *Ctx) siteID(r *obs.Recorder, site string) int32 {
 // terminated by a commit or an abort before the next begin).
 func (c *Ctx) beginAttempt() {
 	c.attemptStart = c.P.Cycles()
-	c.P.RecordEvent(obs.Event{Cycle: c.attemptStart, Site: c.obsSite, Aux: -1, Kind: obs.KTxBegin})
+	c.P.RecordEvent(obs.Event{Cycle: c.attemptStart, Site: c.obsSite(), Aux: -1, Kind: obs.KTxBegin})
 }
 
 // obsCommit records the committed atomic block on the flight recorder:
 // one slice from block start (retries included) to now.
 func (c *Ctx) obsCommit(retries int) {
 	c.P.RecordEvent(obs.Event{
-		Cycle: c.P.Cycles(), Start: c.blockStart, Site: c.obsSite,
+		Cycle: c.P.Cycles(), Start: c.blockStart, Site: c.obsSite(),
 		Aux: int32(retries), Kind: obs.KTxCommit,
 	})
 }
@@ -499,7 +521,7 @@ func (c *Ctx) obsCommit(retries int) {
 // line (0 if none) and the aggressor thread (-1 if none).
 func (c *Ctx) obsAbort(cause obs.Cause, line uint64, by int) {
 	c.P.RecordEvent(obs.Event{
-		Cycle: c.P.Cycles(), Start: c.attemptStart, Site: c.obsSite,
+		Cycle: c.P.Cycles(), Start: c.attemptStart, Site: c.obsSite(),
 		Cause: cause, Arg: line, Aux: int32(by), Kind: obs.KTxAbort,
 	})
 }
@@ -507,7 +529,7 @@ func (c *Ctx) obsAbort(cause obs.Cause, line uint64, by int) {
 // obsFallback records the point event of a block falling back to its
 // guarded phase.
 func (c *Ctx) obsFallback() {
-	c.P.RecordEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite, Kind: obs.KTxFallback})
+	c.P.RecordEvent(obs.Event{Cycle: c.P.Cycles(), Site: c.obsSite(), Kind: obs.KTxFallback})
 }
 
 // rawTx: direct accesses (Seq and Lock backends, and the HTM fallback).
