@@ -69,10 +69,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if !stm.ValidProtocol(*stmProto) {
-		fmt.Fprintf(os.Stderr, "unknown -stm-protocol %q (want tinystm, tl2 or norec)\n", *stmProto)
-		os.Exit(2)
-	}
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "invalid -seeds %d (want a positive count)\n", *seeds)
 		os.Exit(2)
@@ -102,6 +98,12 @@ func main() {
 		// The default stays "", keeping default runs on the pristine
 		// fast path (and their output bytes unchanged).
 		o.STMProtocol = *stmProto
+	}
+	// The machine every experiment builds on, checked once: an unknown
+	// -stm-protocol is rejected here, by arch.Config.Validate.
+	if err := o.Machine().Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "invalid machine: %v\n", err)
+		os.Exit(2)
 	}
 	if *traceOut != "" || *metricsDir != "" {
 		o.Obs = obs.NewCollector(*traceLimit)

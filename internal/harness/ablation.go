@@ -34,8 +34,9 @@ func AblationRetries(w io.Writer, o Options) {
 	}
 	outs := runner.Map(o.Jobs, len(budgets), func(i int) pointOut {
 		retries := budgets[i]
-		res, err := stamp.Run(stamp.NewIntruder(scale, false), tm.HTM, 4, 42,
-			func(sys *tm.System) { sys.MaxRetries = retries })
+		sys := tm.NewSystem(o.Machine(), tm.HTM)
+		sys.MaxRetries = retries
+		res, err := stamp.RunOn(sys, stamp.NewIntruder(scale, false), 4, 42)
 		if err != nil {
 			return pointOut{note: fmt.Sprintf("max_retries=%d failed: %v", retries, err)}
 		}
@@ -208,9 +209,7 @@ func AblationPrefetch(w io.Writer, o Options) {
 				c.Load(uint64(i) * 64)
 			}
 		})
-		res, err := stamp.Run(stamp.NewGenome(o.Scale), tm.Seq, 1, 42, func(s *tm.System) {
-			s.Arch.Lat.PrefetchNextLine = on
-		})
+		res, err := stamp.RunOn(tm.NewSystem(cfg, tm.Seq), stamp.NewGenome(o.Scale), 1, 42)
 		if err != nil {
 			return pointOut{note: fmt.Sprintf("genome failed: %v", err)}
 		}
@@ -220,7 +219,7 @@ func AblationPrefetch(w io.Writer, o Options) {
 		}
 		return pointOut{row: []string{name, itoa(int(scan.Cycles / 1e3)),
 			itoa(int(scan.MemStats.MemAccesses)),
-			itoa(int(res.Cycles / 1e3)), itoa(int(res.Counters["prefetches"]))}}
+			itoa(int(res.Cycles / 1e3)), itoa(int(res.Mem.Prefetches))}}
 	})
 	for _, p := range outs {
 		if p.note != "" {

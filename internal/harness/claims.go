@@ -33,21 +33,16 @@ func Claims(w io.Writer, o Options) {
 		tuneLoops(&p, o)
 		return p
 	}
-	// mk builds a plain system; mkObs additionally attaches a flight
-	// recorder keyed by the claim-block index (the fan-out point), so the
-	// merged trace is identical at any -j.
-	mk := func(b tm.Backend) *tm.System { return tm.NewSystem(o.Machine(), b) }
-	mkObs := func(bi int, b tm.Backend, label string) *tm.System {
-		return o.obsSystem(func() *tm.System { return mk(b) }, bi, label)
-	}
+	// Recorders are keyed by the claim-block index (the fan-out point),
+	// so the merged trace is identical at any -j.
 
 	blocks := []func(bi int) []claimRow{
 		// 1. "RTM performs well with small to medium working sets."
 		func(bi int) []claimRow {
 			p := mkP(16 << 10)
-			seq := eigenbench.Run(mkObs(bi, tm.Seq, "ws16k/seq"), p.Sequential(), 1)
-			rtm := eigenbench.Run(mkObs(bi, tm.HTM, "ws16k/rtm"), p, 1)
-			stm := eigenbench.Run(mkObs(bi, tm.STM, "ws16k/stm"), p, 1)
+			seq := eigenbench.Run(o.system(tm.Seq, bi, "ws16k/seq"), p.Sequential(), 1)
+			rtm := eigenbench.Run(o.system(tm.HTM, bi, "ws16k/rtm"), p, 1)
+			stm := eigenbench.Run(o.system(tm.STM, bi, "ws16k/stm"), p, 1)
 			spdR := float64(seq.Cycles) / float64(rtm.Cycles)
 			spdS := float64(seq.Cycles) / float64(stm.Cycles)
 			return []claimRow{{"RTM beats TinySTM at small working sets", spdR > spdS,
@@ -60,10 +55,10 @@ func Claims(w io.Writer, o Options) {
 			p.R1, p.W1, p.R2, p.W2 = 9, 1, 81, 9
 			low, high := p, p
 			low.HotWords, high.HotWords = 100, 24
-			rtmLow := eigenbench.Run(mkObs(bi, tm.HTM, "lowP/rtm"), low, 1)
-			stmLow := eigenbench.Run(mkObs(bi, tm.STM, "lowP/stm"), low, 1)
-			rtmHigh := eigenbench.Run(mkObs(bi, tm.HTM, "highP/rtm"), high, 1)
-			stmHigh := eigenbench.Run(mkObs(bi, tm.STM, "highP/stm"), high, 1)
+			rtmLow := eigenbench.Run(o.system(tm.HTM, bi, "lowP/rtm"), low, 1)
+			stmLow := eigenbench.Run(o.system(tm.STM, bi, "lowP/stm"), low, 1)
+			rtmHigh := eigenbench.Run(o.system(tm.HTM, bi, "highP/rtm"), high, 1)
+			stmHigh := eigenbench.Run(o.system(tm.STM, bi, "highP/stm"), high, 1)
 			lowOK := stmLow.Cycles < rtmLow.Cycles
 			ratioLow := float64(rtmLow.Cycles) / float64(stmLow.Cycles)
 			ratioHigh := float64(rtmHigh.Cycles) / float64(stmHigh.Cycles)
@@ -79,9 +74,9 @@ func Claims(w io.Writer, o Options) {
 		func(bi int) []claimRow {
 			p := mkP(16 << 10)
 			p.Threads = 1
-			seq := eigenbench.Run(mkObs(bi, tm.Seq, "1t/seq"), p, 1)
-			rtm := eigenbench.Run(mkObs(bi, tm.HTM, "1t/rtm"), p, 1)
-			stm := eigenbench.Run(mkObs(bi, tm.STM, "1t/stm"), p, 1)
+			seq := eigenbench.Run(o.system(tm.Seq, bi, "1t/seq"), p, 1)
+			rtm := eigenbench.Run(o.system(tm.HTM, bi, "1t/rtm"), p, 1)
+			stm := eigenbench.Run(o.system(tm.STM, bi, "1t/stm"), p, 1)
 			ovR := float64(rtm.Cycles) / float64(seq.Cycles)
 			ovS := float64(stm.Cycles) / float64(seq.Cycles)
 			return []claimRow{{"RTM has lower 1-thread overhead than TinySTM", ovR < ovS,
@@ -90,9 +85,9 @@ func Claims(w io.Writer, o Options) {
 		// 4. "RTM is more energy-efficient when working sets fit in cache."
 		func(bi int) []claimRow {
 			p := mkP(16 << 10)
-			seq := eigenbench.Run(mkObs(bi, tm.Seq, "energy/seq"), p.Sequential(), 1)
-			rtm := eigenbench.Run(mkObs(bi, tm.HTM, "energy/rtm"), p, 1)
-			stm := eigenbench.Run(mkObs(bi, tm.STM, "energy/stm"), p, 1)
+			seq := eigenbench.Run(o.system(tm.Seq, bi, "energy/seq"), p.Sequential(), 1)
+			rtm := eigenbench.Run(o.system(tm.HTM, bi, "energy/rtm"), p, 1)
+			stm := eigenbench.Run(o.system(tm.STM, bi, "energy/stm"), p, 1)
 			return []claimRow{{"RTM most energy-efficient at cache-resident working sets",
 				rtm.EnergyJ < seq.EnergyJ && rtm.EnergyJ < stm.EnergyJ,
 				"J: rtm " + f3(rtm.EnergyJ) + " seq " + f3(seq.EnergyJ) + " stm " + f3(stm.EnergyJ)}}
@@ -113,13 +108,13 @@ func Claims(w io.Writer, o Options) {
 		// 6. "labyrinth does not scale in RTM" (grid copy blows the write set;
 		// needs the full-size grid, whose private copy exceeds 512 L1 lines).
 		func(bi int) []claimRow {
-			res, err := stamp.Run(stamp.NewLabyrinth(stamp.Full), tm.HTM, 4, 42,
-				o.obsMod(bi, "labyrinth/rtm", nil))
+			res, err := stamp.RunOn(o.system(tm.HTM, bi, "labyrinth/rtm"),
+				stamp.NewLabyrinth(stamp.Full), 4, 42)
 			ok := err == nil && res.Fallbacks > 0 && res.WriteCapacity > 0
 			rows := []claimRow{{"labyrinth's grid copy forces RTM to the fallback lock", ok,
 				itoa(int(res.Fallbacks)) + " fallbacks, " + itoa(int(res.WriteCapacity)) + " write-capacity aborts"}}
-			stm, err2 := stamp.Run(stamp.NewLabyrinth(stamp.Full), tm.STM, 4, 42,
-				o.obsMod(bi, "labyrinth/stm", nil))
+			stm, err2 := stamp.RunOn(o.system(tm.STM, bi, "labyrinth/stm"),
+				stamp.NewLabyrinth(stamp.Full), 4, 42)
 			ok2 := err2 == nil && err == nil && stm.Cycles < res.Cycles
 			rows = append(rows, claimRow{"labyrinth scales under TinySTM but not RTM", ok2,
 				"4t cycles: rtm " + itoa(int(res.Cycles/1e6)) + "M vs " + o.backendLabel(tm.STM) + " " + itoa(int(stm.Cycles/1e6)) + "M"})
@@ -127,19 +122,20 @@ func Claims(w io.Writer, o Options) {
 		},
 		// 7. Case-study optimizations pay off (Tables IV & V).
 		func(bi int) []claimRow {
-			base, err1 := stamp.Run(stamp.NewIntruder(stamp.Small, false), tm.HTM, 4, 42,
-				o.obsMod(bi, "intruder/base", nil))
-			opt, err2 := stamp.Run(stamp.NewIntruder(stamp.Small, true), tm.HTM, 4, 42,
-				o.obsMod(bi, "intruder/opt", nil))
+			base, err1 := stamp.RunOn(o.system(tm.HTM, bi, "intruder/base"),
+				stamp.NewIntruder(stamp.Small, false), 4, 42)
+			opt, err2 := stamp.RunOn(o.system(tm.HTM, bi, "intruder/opt"),
+				stamp.NewIntruder(stamp.Small, true), 4, 42)
 			ok := err1 == nil && err2 == nil && opt.Cycles < base.Cycles
 			return []claimRow{{"intruder prepend optimization reduces execution time", ok,
 				f2(100*(1-float64(opt.Cycles)/float64(base.Cycles))) + "% reduction at 4 threads"}}
 		},
 		func(bi int) []claimRow {
-			base, err1 := stamp.Run(stamp.NewVacation(stamp.Small, false), tm.HTM, 4, 42,
-				o.obsMod(bi, "vacation/base", nil))
-			opt, err2 := stamp.Run(stamp.NewVacation(stamp.Small, true), tm.HTM, 4, 42,
-				o.obsMod(bi, "vacation/opt", func(sys *tm.System) { sys.Heap.PreTouch = true }))
+			base, err1 := stamp.RunOn(o.system(tm.HTM, bi, "vacation/base"),
+				stamp.NewVacation(stamp.Small, false), 4, 42)
+			optSys := o.system(tm.HTM, bi, "vacation/opt")
+			optSys.Heap.PreTouch = true
+			opt, err2 := stamp.RunOn(optSys, stamp.NewVacation(stamp.Small, true), 4, 42)
 			ok := err1 == nil && err2 == nil && opt.Cycles < base.Cycles && opt.Misc3 < base.Misc3
 			return []claimRow{{"vacation single-lookup+pre-touch kills page-fault aborts", ok,
 				"misc3 " + itoa(int(base.Misc3)) + " -> " + itoa(int(opt.Misc3))}}

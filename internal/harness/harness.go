@@ -80,47 +80,22 @@ func (o Options) backendLabel(b tm.Backend) string {
 	return b.String()
 }
 
-// sharding returns the arch.Sharding the options describe.
-func (o Options) sharding() arch.Sharding {
-	return arch.Sharding{Shards: o.Shards, EpochCycles: o.EpochCycles}
-}
-
-// Machine returns the simulated machine description with the options'
-// engine sharding and STM protocol applied. Experiments construct
-// configs through this so -shards and -stm-protocol reach every point.
+// Machine returns the simulated machine description the options select:
+// Haswell with the options' engine sharding and STM protocol. Every
+// experiment builds its machines from it (editing its own copy for an
+// ablation), so -shards and -stm-protocol reach every point; nothing
+// edits sys.Arch after tm.NewSystem.
 func (o Options) Machine() *arch.Config {
 	cfg := arch.Haswell()
-	cfg.Shard = o.sharding()
+	cfg.Shard = arch.Sharding{Shards: o.Shards, EpochCycles: o.EpochCycles}
 	cfg.STM.Protocol = o.STMProtocol
 	return cfg
 }
 
-// obsMod composes the options' engine sharding and a recorder attachment
-// for the given point index and label with an existing system modifier.
-// With observability and sharding both off it returns mod unchanged, so
-// call sites pay nothing.
-func (o Options) obsMod(point int, label string, mod func(*tm.System)) func(*tm.System) {
-	if o.Obs == nil && o.Shards == 0 && o.EpochCycles == 0 && o.STMProtocol == "" {
-		return mod
-	}
-	return func(sys *tm.System) {
-		sys.Arch.Shard = o.sharding()
-		sys.Arch.STM.Protocol = o.STMProtocol
-		if mod != nil {
-			mod(sys)
-		}
-		if o.Obs != nil {
-			sys.SetRecorder(o.Obs.Recorder(point, label))
-		}
-	}
-}
-
-// obsSystem builds a tm.System with a recorder attached for the given
-// point (for call sites that construct systems directly).
-func (o Options) obsSystem(cfg func() *tm.System, point int, label string) *tm.System {
-	sys := cfg()
-	sys.Arch.Shard = o.sharding()
-	sys.Arch.STM.Protocol = o.STMProtocol
+// system builds the options' machine for backend, with a flight recorder
+// for the given point and label attached when the options collect them.
+func (o Options) system(backend tm.Backend, point int, label string) *tm.System {
+	sys := tm.NewSystem(o.Machine(), backend)
 	if o.Obs != nil {
 		sys.SetRecorder(o.Obs.Recorder(point, label))
 	}

@@ -36,13 +36,12 @@ func HybridStudy(w io.Writer, o Options) {
 	outs := runner.Map(o.Jobs, len(apps), func(i int) pointOut {
 		mk := apps[i]
 		name := mk().Name()
-		seq, err := stamp.Run(mk(), tm.Seq, 1, 42, o.obsMod(i, name+"/seq", nil))
+		seq, err := stamp.RunOn(o.system(tm.Seq, i, name+"/seq"), mk(), 1, 42)
 		if err != nil {
 			return pointOut{note: fmt.Sprintf("%s seq failed: %v", name, err)}
 		}
 		norm := func(backend tm.Backend) (string, stamp.Result) {
-			res, err := stamp.Run(mk(), backend, 4, 42,
-				o.obsMod(i, name+"/"+o.backendLabel(backend), nil))
+			res, err := stamp.RunOn(o.system(backend, i, name+"/"+o.backendLabel(backend)), mk(), 4, 42)
 			if err != nil {
 				return "ERR", res
 			}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"rtmlab/internal/arch"
 	"rtmlab/internal/stamp"
 	"rtmlab/internal/stm"
 	"rtmlab/internal/tm"
@@ -27,27 +26,23 @@ func TestProtocolStampDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs genome at test scale under nine engine/protocol combinations")
 	}
-	mod := func(proto string, shards int) func(sys *tm.System) {
-		return func(sys *tm.System) {
-			sys.Arch.STM.Protocol = proto
-			if shards != 0 {
-				sys.Arch.Shard = arch.Sharding{Shards: shards}
-			}
-		}
+	run := func(proto string, shards int) (stamp.Result, error) {
+		cfg := Options{Shards: shards, STMProtocol: proto}.Machine()
+		return stamp.RunOn(tm.NewSystem(cfg, tm.STM), stamp.NewGenome(stamp.Test), 4, 42)
 	}
 	var doneBlocks []uint64
 	for _, proto := range stm.Protocols() {
-		classic, err := stamp.Run(stamp.NewGenome(stamp.Test), tm.STM, 4, 42, mod(proto, 0))
+		classic, err := run(proto, 0)
 		if err != nil {
 			t.Fatalf("%s classic: %v", proto, err)
 		}
 		doneBlocks = append(doneBlocks, classic.Commits+classic.Fallbacks)
 
-		s2, err := stamp.Run(stamp.NewGenome(stamp.Test), tm.STM, 4, 42, mod(proto, 2))
+		s2, err := run(proto, 2)
 		if err != nil {
 			t.Fatalf("%s shards=2: %v", proto, err)
 		}
-		s4, err := stamp.Run(stamp.NewGenome(stamp.Test), tm.STM, 4, 42, mod(proto, 4))
+		s4, err := run(proto, 4)
 		if err != nil {
 			t.Fatalf("%s shards=4: %v", proto, err)
 		}

@@ -56,12 +56,12 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	}
 	for _, ab := range parkAblations[1:] { // the default is Table IV's
 		for _, backend := range []tm.Backend{tm.HTM, tm.STM} {
-			base, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(1, ab.mod))
+			base, err := runGenome(backend, 1, ab.edit)
 			if err != nil {
 				t.Fatalf("%s %v shards=1: %v", ab.name, backend, err)
 			}
 			for _, shards := range []int{2, 4, 8} {
-				got, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(shards, ab.mod))
+				got, err := runGenome(backend, shards, ab.edit)
 				if err != nil {
 					t.Fatalf("%s %v shards=%d: %v", ab.name, backend, shards, err)
 				}
@@ -74,26 +74,50 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	}
 }
 
-// parkAblations are the existing ablation settings that force the
-// sharded engine's park path, applied through a stamp config hook: the
-// next-line prefetcher parks every L1 miss, and the finite DRAM channel
-// parks every full miss. The default configuration ("") is listed first.
-var parkAblations = []struct {
-	name string
-	mod  func(*tm.System)
-}{
-	{"", func(*tm.System) {}},
-	{"prefetch", func(s *tm.System) { s.Arch.Lat.PrefetchNextLine = true }},
-	{"membw", func(s *tm.System) { s.Arch.Lat.MemBandwidthGap = 16 }},
+// TestAblationRetriesHonoursShards checks that -shards reaches the retry
+// sweep, which builds its machines itself: on the sharded engine its
+// table differs from the classic engine's and is byte-identical at any
+// shard count.
+func TestAblationRetriesHonoursShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the retry sweep at test scale three times")
+	}
+	run := func(shards int) string {
+		var buf bytes.Buffer
+		AblationRetries(&buf, Options{Scale: stamp.Test, Seeds: 1, Shards: shards})
+		return buf.String()
+	}
+	classic, s1, s2 := run(0), run(1), run(2)
+	if s1 == classic {
+		t.Errorf("ablation-retries at shards=1 matches the classic engine; the option never reached the runs:\n%s", s1)
+	}
+	if s2 != s1 {
+		t.Errorf("ablation-retries differs between shards=1 and shards=2:\n--- shards=1 ---\n%s--- shards=2 ---\n%s", s1, s2)
+	}
 }
 
-// shardMod runs a STAMP kernel on the sharded engine with an ablation
-// applied; shards == 0 keeps the classic engine.
-func shardMod(shards int, ablation func(*tm.System)) func(*tm.System) {
-	return func(sys *tm.System) {
-		sys.Arch.Shard = arch.Sharding{Shards: shards}
-		ablation(sys)
-	}
+// parkAblations are the ablation settings that move the sharded
+// engine off its common path, as edits of the machine description: the
+// next-line prefetcher parks every L1 miss, the finite DRAM channel parks
+// every full miss, and the L2-bounded read set turns the per-core
+// directory slices off, so every conflict probe is deferred to the epoch
+// boundary. The default configuration ("") is listed first.
+var parkAblations = []struct {
+	name string
+	edit func(*arch.Config)
+}{
+	{"", func(*arch.Config) {}},
+	{"prefetch", func(c *arch.Config) { c.Lat.PrefetchNextLine = true }},
+	{"membw", func(c *arch.Config) { c.Lat.MemBandwidthGap = 16 }},
+	{"read-set-l2", func(c *arch.Config) { c.TSX.ReadSetLevel = 2 }},
+}
+
+// runGenome runs STAMP genome at test scale with an ablation applied, on
+// the sharded engine with that many workers (0 keeps the classic engine).
+func runGenome(backend tm.Backend, shards int, ablation func(*arch.Config)) (stamp.Result, error) {
+	cfg := Options{Shards: shards}.Machine()
+	ablation(cfg)
+	return stamp.RunOn(tm.NewSystem(cfg, backend), stamp.NewGenome(stamp.Test), 4, 42)
 }
 
 // TestShardStampDifferential runs a STAMP kernel sharded and unsharded
@@ -111,15 +135,15 @@ func TestShardStampDifferential(t *testing.T) {
 	}
 	for _, ab := range parkAblations {
 		for _, backend := range []tm.Backend{tm.HTM, tm.STM} {
-			classic, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(0, ab.mod))
+			classic, err := runGenome(backend, 0, ab.edit)
 			if err != nil {
 				t.Fatalf("%s %v classic: %v", ab.name, backend, err)
 			}
-			s2, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(2, ab.mod))
+			s2, err := runGenome(backend, 2, ab.edit)
 			if err != nil {
 				t.Fatalf("%s %v shards=2: %v", ab.name, backend, err)
 			}
-			s4, err := stamp.Run(stamp.NewGenome(stamp.Test), backend, 4, 42, shardMod(4, ab.mod))
+			s4, err := runGenome(backend, 4, ab.edit)
 			if err != nil {
 				t.Fatalf("%s %v shards=4: %v", ab.name, backend, err)
 			}
@@ -154,35 +178,30 @@ func TestShardRecorderInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs intruder at test scale four times")
 	}
-	run := func(mod func(*tm.System)) stamp.Result {
-		r, err := stamp.Run(stamp.NewIntruder(stamp.Test, false), tm.HTM, 4, 1, func(sys *tm.System) {
-			sys.Arch.Shard = arch.Sharding{Shards: 1}
-			if mod != nil {
-				mod(sys)
-			}
-		})
+	run := func(shards int, mod func(*tm.System)) stamp.Result {
+		sys := tm.NewSystem(Options{Shards: shards}.Machine(), tm.HTM)
+		mod(sys)
+		r, err := stamp.RunOn(sys, stamp.NewIntruder(stamp.Test, false), 4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	base := run(nil)
+	base := run(1, func(*tm.System) {})
 	for _, v := range []struct {
-		name string
-		mod  func(*tm.System)
+		name   string
+		shards int
+		mod    func(*tm.System)
 	}{
-		{"recorder", func(s *tm.System) { s.SetRecorder(obs.NewRecorder("x", 1024)) }},
+		{"recorder", 1, func(s *tm.System) { s.SetRecorder(obs.NewRecorder("x", 1024)) }},
 		// Shard-count invariance makes this comparable to the shards=1
 		// base; multiple workers also exercise concurrent site interning
 		// under the race detector in CI.
-		{"recorder-4-workers", func(s *tm.System) {
-			s.Arch.Shard = arch.Sharding{Shards: 4}
-			s.SetRecorder(obs.NewRecorder("x", 1024))
-		}},
-		{"tm-layer-only", func(s *tm.System) { s.Obs = obs.NewRecorder("x", 1024) }},
-		{"machine-layer-only", func(s *tm.System) { s.H.Rec = obs.NewRecorder("x", 1024) }},
+		{"recorder-4-workers", 4, func(s *tm.System) { s.SetRecorder(obs.NewRecorder("x", 1024)) }},
+		{"tm-layer-only", 1, func(s *tm.System) { s.Obs = obs.NewRecorder("x", 1024) }},
+		{"machine-layer-only", 1, func(s *tm.System) { s.H.Rec = obs.NewRecorder("x", 1024) }},
 	} {
-		if got := run(v.mod); !reflect.DeepEqual(base, got) {
+		if got := run(v.shards, v.mod); !reflect.DeepEqual(base, got) {
 			t.Errorf("%s: attaching a recorder changed the sharded simulation:\nwithout: %+v\nwith:    %+v", v.name, base, got)
 		}
 	}

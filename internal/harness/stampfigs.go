@@ -78,7 +78,7 @@ func Fig10to12(w io.Writer, o Options) {
 		mk := apps[ai]
 		var out appResult
 		name := mk().Name()
-		seqRes, err := stamp.Run(mk(), tm.Seq, 1, 42, o.obsMod(ai, name+"/seq", nil))
+		seqRes, err := stamp.RunOn(o.system(tm.Seq, ai, name+"/seq"), mk(), 1, 42)
 		if err != nil {
 			out.errs = append(out.errs, fmt.Sprintf("  ! %s sequential failed: %v", name, err))
 			return out
@@ -93,8 +93,8 @@ func Fig10to12(w io.Writer, o Options) {
 				var last stamp.Result
 				failed := false
 				for s := 0; s < seeds; s++ {
-					res, err := stamp.Run(mk(), backend, n, 42+uint64(97*s),
-						o.obsMod(ai, name+"/"+o.backendLabel(backend)+"/"+itoa(n)+"t/s"+itoa(s), nil))
+					label := name + "/" + o.backendLabel(backend) + "/" + itoa(n) + "t/s" + itoa(s)
+					res, err := stamp.RunOn(o.system(backend, ai, label), mk(), n, 42+uint64(97*s))
 					if err != nil {
 						out.errs = append(out.errs, fmt.Sprintf("  ! %s/%v/%d: %v", name, backend, n, err))
 						failed = true
@@ -190,7 +190,11 @@ func caseStudy(w io.Writer, o Options, id, title, site string,
 			mk, mod, variant = mkOpt, optMod, "opt"
 		}
 		n := threads[i%nt]
-		res, err := stamp.Run(mk(), tm.HTM, n, 42, o.obsMod(i, variant+"/"+itoa(n)+"t", mod))
+		sys := o.system(tm.HTM, i, variant+"/"+itoa(n)+"t")
+		if mod != nil {
+			mod(sys)
+		}
+		res, err := stamp.RunOn(sys, mk(), n, 42)
 		return runPoint{res, err}
 	})
 	collect := func(off int) []run {

@@ -26,9 +26,6 @@ import (
 	"rtmlab/internal/tm"
 )
 
-// archConfig returns the machine description for benchmark runs.
-func archConfig() *arch.Config { return arch.Haswell() }
-
 // Benchmark is one STAMP application instance. Implementations carry
 // their input parameters; Setup builds the input on the system's heap
 // (sequentially), Parallel runs the region of interest on n threads and
@@ -64,17 +61,28 @@ type Result struct {
 	Misc3             uint64 // page faults, explicit, nesting
 	Misc5             uint64 // interrupts
 
+	Mem      mem.Stats         // region-of-interest memory-hierarchy counts
 	Counters map[string]uint64 // full counter snapshot delta
 }
 
-// Run executes b once under the given backend/threads and returns metrics
-// plus the validation error (nil when the output checks out).
+// Run executes b once on a fresh Haswell machine under the given
+// backend/threads and returns metrics plus the validation error (nil when
+// the output checks out). cfgMod, if non-nil, runs between building the
+// system and the benchmark's setup: it may set system fields (the
+// recorder, the heap, MaxRetries) and never sys.Arch, which the machine
+// was already built from. A run on any other machine builds its system
+// with tm.NewSystem and calls RunOn.
 func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(sys *tm.System)) (Result, error) {
-	sys := tm.NewSystem(archConfig(), backend)
+	sys := tm.NewSystem(arch.Haswell(), backend)
 	if cfgMod != nil {
 		cfgMod(sys)
 	}
+	return RunOn(sys, b, threads, seed)
+}
 
+// RunOn executes b once on sys, a freshly built system, with the given
+// thread count, and returns metrics plus the validation error.
+func RunOn(sys *tm.System, b Benchmark, threads int, seed uint64) (Result, error) {
 	setup := sys.Run(1, seed, func(c *tm.Ctx) { b.Setup(c, seed) })
 
 	countersBefore := sys.Counters.Snapshot()
@@ -106,7 +114,7 @@ func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(
 	}
 	res := Result{
 		Name:        b.Name(),
-		Backend:     backend,
+		Backend:     sys.Backend,
 		Threads:     threads,
 		SetupCycles: setup.Cycles,
 		Cycles:      roi.Cycles,
@@ -116,6 +124,7 @@ func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(
 		Commits:     sys.Commits() - commitsBefore,
 		Aborts:      sys.Aborts() - abortsBefore,
 		Fallbacks:   sys.Counters.Get("tm:fallback"),
+		Mem:         roi.MemStats,
 	}
 	if res.Starts > 0 {
 		res.AbortRate = float64(res.Aborts) / float64(res.Starts)
@@ -124,7 +133,6 @@ func Run(b Benchmark, backend tm.Backend, threads int, seed uint64, cfgMod func(
 	for k, v := range res.Counters {
 		res.Counters[k] = v - countersBefore[k]
 	}
-	res.Counters["prefetches"] = roi.MemStats.Prefetches
 	fillBreakdown(&res)
 	return res, b.Validate(sys)
 }

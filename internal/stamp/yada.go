@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"slices"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -128,6 +130,10 @@ func (y *Yada) Parallel(sys *tm.System, threads int, seed uint64) {
 		// cursor only advances after the transaction commits.
 		idNext := int64(y.Initial + tid*y.MaxNew/threads)
 		idEnd := int64(y.Initial + (tid+1)*y.MaxNew/threads)
+		// Host-side scratch of the refine body, one per thread (sharded
+		// threads run on concurrent workers). Every attempt truncates
+		// both before use, so a re-executed attempt starts from empty.
+		var cavity, boundary []int64
 		for {
 			var id int64
 			var ok bool
@@ -146,44 +152,42 @@ func (y *Yada) Parallel(sys *tm.System, threads int, seed uint64) {
 				if t.Load(rec+eAlive*arch.WordSize) == 0 || t.Load(rec+eBad*arch.WordSize) == 0 {
 					return // already retired by an overlapping cavity
 				}
-				// Collect the cavity: BFS to CavDepth.
-				cavity := []int64{id}
-				seen := map[int64]bool{id: true}
-				frontier := []int64{id}
-				for depth := 0; depth < y.CavDepth; depth++ {
-					var next []int64
-					for _, e := range frontier {
+				// Collect the cavity: BFS to CavDepth. cavity[lo:hi] is
+				// the frontier; the elements seen so far are the cavity
+				// and, below, the boundary.
+				cavity = append(cavity[:0], id)
+				boundary = boundary[:0]
+				seen := func(e int64) bool { return slices.Contains(cavity, e) || slices.Contains(boundary, e) }
+				for depth, lo := 0, 0; depth < y.CavDepth; depth++ {
+					hi := len(cavity)
+					for _, e := range cavity[lo:hi] {
 						er := y.arena[e]
 						n := t.Load(er + eN*arch.WordSize)
 						for j := int64(0); j < n; j++ {
 							nb := t.Load(er + uint64(eNbr0+int(j))*arch.WordSize)
-							if nb < 0 || seen[nb] {
+							if nb < 0 || seen(nb) {
 								continue
 							}
 							if t.Load(y.arena[nb]+eAlive*arch.WordSize) == 0 {
 								continue
 							}
-							seen[nb] = true
-							cavity = append(cavity, nb)
-							next = append(next, nb)
+							cavity = append(cavity, nb) //rtmvet:ignore per-thread scratch, truncated at the top of every attempt
 						}
 					}
-					frontier = next
+					lo = hi
 				}
 				if idNext+int64(len(cavity)) > idEnd {
 					grew[tid] = true //rtmvet:ignore idempotent per-thread flag slot; re-setting true on a re-executed attempt is harmless
 					return           // growth bound: this thread's id region is full
 				}
 				// Boundary = alive neighbours of the cavity outside it.
-				var boundary []int64
 				for _, e := range cavity {
 					er := y.arena[e]
 					n := t.Load(er + eN*arch.WordSize)
 					for j := int64(0); j < n; j++ {
 						nb := t.Load(er + uint64(eNbr0+int(j))*arch.WordSize)
-						if nb >= 0 && !seen[nb] && t.Load(y.arena[nb]+eAlive*arch.WordSize) == 1 {
-							boundary = append(boundary, nb)
-							seen[nb] = true
+						if nb >= 0 && !seen(nb) && t.Load(y.arena[nb]+eAlive*arch.WordSize) == 1 {
+							boundary = append(boundary, nb) //rtmvet:ignore per-thread scratch, truncated at the top of every attempt
 						}
 					}
 				}
@@ -192,25 +196,26 @@ func (y *Yada) Parallel(sys *tm.System, threads int, seed uint64) {
 					t.Store(y.arena[e]+eAlive*arch.WordSize, 0)
 					t.Store(y.arena[e]+eBad*arch.WordSize, 0)
 				}
-				// Allocate replacements: a chain of new elements stitched
-				// to the boundary.
+				// Allocate replacements: a chain of new elements, ids
+				// idNext.., stitched to the boundary.
 				nNew := len(cavity)
-				newIDs := make([]int64, 0, nNew)
 				for k := 0; k < nNew; k++ {
-					newIDs = append(newIDs, idNext+int64(k))
-				}
-				for k, nid := range newIDs {
+					nid := idNext + int64(k)
 					rec := y.arena[nid]
 					t.Store(rec+eAlive*arch.WordSize, 1)
-					var nbrs []int64
+					var nbrs [3]int64
+					deg := 0
 					if k > 0 {
-						nbrs = append(nbrs, newIDs[k-1])
+						nbrs[deg] = nid - 1
+						deg++
 					}
-					if k < len(newIDs)-1 {
-						nbrs = append(nbrs, newIDs[k+1])
+					if k < nNew-1 {
+						nbrs[deg] = nid + 1
+						deg++
 					}
 					if k < len(boundary) {
-						nbrs = append(nbrs, boundary[k])
+						nbrs[deg] = boundary[k]
+						deg++
 						// Wire back: replace a dead neighbour slot (or an
 						// empty one) in the boundary element.
 						y.rewire(t, boundary[k], nid)
@@ -220,10 +225,10 @@ func (y *Yada) Parallel(sys *tm.System, threads int, seed uint64) {
 						isBad = 1
 					}
 					t.Store(rec+eBad*arch.WordSize, isBad)
-					t.Store(rec+eN*arch.WordSize, int64(len(nbrs)))
+					t.Store(rec+eN*arch.WordSize, int64(deg))
 					for j := 0; j < eDeg; j++ {
 						v := int64(-1)
-						if j < len(nbrs) {
+						if j < deg {
 							v = nbrs[j]
 						}
 						t.Store(rec+uint64(eNbr0+j)*arch.WordSize, v)

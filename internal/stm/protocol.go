@@ -15,16 +15,6 @@ const (
 // Protocols lists the selectable protocol names in documentation order.
 func Protocols() []string { return []string{TinySTMName, TL2Name, NOrecName} }
 
-// ValidProtocol reports whether name selects a protocol. The empty
-// string is valid and means the default (TinySTM).
-func ValidProtocol(name string) bool {
-	switch name {
-	case "", TinySTMName, TL2Name, NOrecName:
-		return true
-	}
-	return false
-}
-
 // Protocol is one software TM concurrency-control engine behind the Txn
 // API. The dispatcher (Txn.Begin/Load/Store/Commit) owns everything the
 // protocols share — the activity guard, fixed instruction costs, the

@@ -16,19 +16,27 @@ func newProtoSys(proto string) (*arch.Config, *mem.Hierarchy, *System) {
 	return cfg, h, NewSystem(cfg, h, nil)
 }
 
+// TestProtocolNames checks the protocol names against arch.Config.Validate,
+// the one list of accepted names: every listed protocol and the default
+// ("") pass, an unknown name fails.
 func TestProtocolNames(t *testing.T) {
+	valid := func(name string) error {
+		cfg := arch.Haswell()
+		cfg.STM.Protocol = name
+		return cfg.Validate()
+	}
 	for _, name := range Protocols() {
-		if !ValidProtocol(name) {
-			t.Errorf("listed protocol %q not valid", name)
+		if err := valid(name); err != nil {
+			t.Errorf("listed protocol %q not valid: %v", name, err)
 		}
 		if got := protocolFor(name).Name(); got != name {
 			t.Errorf("protocolFor(%q).Name() = %q", name, got)
 		}
 	}
-	if !ValidProtocol("") {
-		t.Error("empty protocol (default) rejected")
+	if err := valid(""); err != nil {
+		t.Errorf("empty protocol (default) rejected: %v", err)
 	}
-	if ValidProtocol("bogus") {
+	if valid("bogus") == nil {
 		t.Error("bogus protocol accepted")
 	}
 	if protocolFor("").Name() != TinySTMName {

@@ -146,28 +146,21 @@ type System struct {
 }
 
 // NewSystem builds an STM over the hierarchy, running the protocol
-// selected by cfg.STM.Protocol ("" = tinystm). pt may be nil.
+// selected by cfg.STM.Protocol ("" = tinystm); cfg is final here, so the
+// protocol is resolved once. A name arch.Config.Validate rejects panics.
+// pt may be nil.
 func NewSystem(cfg *arch.Config, h *mem.Hierarchy, pt *vm.PageTable) *System {
 	return &System{
 		cfg:        cfg,
 		h:          h,
 		pt:         pt,
 		Counters:   perf.NewSet(cfg.MaxThreads()),
+		proto:      protocolFor(cfg.STM.Protocol),
 		clockAddr:  MetaBase,
 		lockBase:   MetaBase + arch.PageSize,
 		lockMask:   (1 << uint(cfg.STM.LockArrayLog2)) - 1,
 		MaxBackoff: 8192,
 	}
-}
-
-// Protocol returns the system's concurrency-control protocol, resolving
-// cfg.STM.Protocol on first use (harness modifiers run between NewSystem
-// and the first Attach).
-func (s *System) Protocol() Protocol {
-	if s.proto == nil {
-		s.proto = protocolFor(s.cfg.STM.Protocol)
-	}
-	return s.proto
 }
 
 // LockRange returns the simulated address range [lo, hi) of the
@@ -220,7 +213,6 @@ type Txn struct {
 
 // Attach returns a fresh transaction descriptor for a proc.
 func (s *System) Attach(p *sim.Proc) *Txn {
-	proto := s.Protocol()
 	tx := &Txn{
 		sys:      s,
 		proc:     p,
@@ -228,7 +220,7 @@ func (s *System) Attach(p *sim.Proc) *Txn {
 		ownedIdx: lineset.NewTable[int32](256),
 	}
 	if p.Sharded() {
-		proto.shardInit(tx)
+		s.proto.shardInit(tx)
 	}
 	return tx
 }

@@ -82,7 +82,7 @@ const xabortRestart uint8 = 0xAB
 
 // System owns one simulated machine plus the TM runtime for one backend.
 type System struct {
-	Arch *arch.Config
+	Arch *arch.Config // the machine it was built from; final after NewSystem
 	H    *mem.Hierarchy
 	PT   *vm.PageTable
 	Heap *alloc.Heap
@@ -196,11 +196,6 @@ func (s *System) txCounters() [2]string {
 // Run executes body on n simulated threads, attaching a Ctx to each, and
 // returns the region metrics.
 func (s *System) Run(n int, seed uint64, body func(c *Ctx)) sim.Result {
-	if s.Arch.Shard.Shards != 0 {
-		// Callers may stamp Arch.Shard after NewSystem; keep the
-		// pre-touching allocator in sync with the engine choice.
-		s.Heap.PreTouch = true
-	}
 	// attach mutates shared state (heap pools, the shard engine's hooks),
 	// so it runs in the engine's serial setup phase; the bodies —
 	// concurrent under the sharded engine — get the prepared Ctx.

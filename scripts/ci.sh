@@ -77,6 +77,12 @@ go run ./cmd/rtmlab -scale test -seeds 1 -shards -1 -j 1 table4 > "$obsdir/outau
 cmp "$obsdir/out1.txt" "$obsdir/out4.txt"
 cmp "$obsdir/out1.txt" "$obsdir/out2.txt"
 cmp "$obsdir/out1.txt" "$obsdir/outauto.txt"
+# The ablations build their machines from the same options, so the retry
+# sweep is shard-count invariant too (TestAblationRetriesHonoursShards
+# also checks that it differs from the classic engine's).
+go run ./cmd/rtmlab -scale test -seeds 1 -shards 1 ablation-retries > "$obsdir/retries1.txt"
+go run ./cmd/rtmlab -scale test -seeds 1 -shards 2 ablation-retries > "$obsdir/retries2.txt"
+cmp "$obsdir/retries1.txt" "$obsdir/retries2.txt"
 
 echo "== flag validation =="
 # -epoch-cycles configures the sharded engine only; without -shards it
