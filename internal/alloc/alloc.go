@@ -97,10 +97,6 @@ type Pool struct {
 	cur  uint64
 	end  uint64
 	free map[int][]uint64 // size in words -> free addresses (LIFO)
-
-	// Allocs and Frees count operations (for tests/diagnostics).
-	Allocs uint64
-	Frees  uint64
 }
 
 // NewPool returns a fresh pool on the heap.
@@ -116,7 +112,6 @@ func (p *Pool) Alloc(sink vm.CycleSink, nWords int) uint64 {
 	if nWords <= 0 {
 		panic(fmt.Sprintf("alloc: bad size %d", nWords))
 	}
-	p.Allocs++
 	if sink != nil {
 		sink.AddCycles(allocCycles)
 	}
@@ -165,6 +160,5 @@ func (p *Pool) Free(addr uint64, nWords int) {
 	if nWords <= 0 {
 		panic(fmt.Sprintf("alloc: bad size %d", nWords))
 	}
-	p.Frees++
 	p.free[nWords] = append(p.free[nWords], addr)
 }

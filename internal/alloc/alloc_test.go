@@ -84,9 +84,10 @@ func TestFreshPagesMarked(t *testing.T) {
 	pt := vm.NewPageTable()
 	h := NewHeap(pt)
 	p := h.NewPool()
-	p.Alloc(nil, 10)
-	if pt.FreshPages() == 0 {
-		t.Fatal("fresh chunk pages not marked")
+	for a, end := p.Alloc(nil, 10), p.end; a < end; a += arch.PageSize {
+		if pt.Touched(a) {
+			t.Fatalf("page at %#x of a fresh chunk not marked fresh", a)
+		}
 	}
 }
 
@@ -97,8 +98,10 @@ func TestPreTouchLeavesPagesResident(t *testing.T) {
 	p := h.NewPool()
 	var s sink
 	a := p.Alloc(&s, 10)
-	if pt.FreshPages() != 0 {
-		t.Fatal("pre-touch left fresh pages")
+	for pg := p.end - chunkWords*arch.WordSize; pg < p.end; pg += arch.PageSize {
+		if !pt.Touched(pg) {
+			t.Fatalf("pre-touch left the page at %#x fresh", pg)
+		}
 	}
 	if !pt.Touched(a) {
 		t.Fatal("allocated page not resident under pre-touch")

@@ -233,50 +233,46 @@ func Haswell() *Config {
 func (c *Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
-		return errf("cores must be positive, got %d", c.Cores)
+		return fmt.Errorf("cores must be positive, got %d", c.Cores)
 	case c.ThreadsPerCore <= 0:
-		return errf("threads per core must be positive, got %d", c.ThreadsPerCore)
+		return fmt.Errorf("threads per core must be positive, got %d", c.ThreadsPerCore)
 	case c.MaxThreads() > 32:
 		// htm tracks a line's transactional readers in a 32-bit thread
 		// mask, and mem a line's sharers in a 32-bit core mask; with at
 		// least one thread per core this also bounds the cores.
-		return errf("at most 32 hardware threads are supported, got %d", c.MaxThreads())
+		return fmt.Errorf("at most 32 hardware threads are supported, got %d", c.MaxThreads())
 	case c.FreqGHz <= 0:
-		return errf("frequency must be positive, got %g", c.FreqGHz)
+		return fmt.Errorf("frequency must be positive, got %g", c.FreqGHz)
 	case c.Shard.Shards < 0:
-		return errf("shards must be 0 (classic engine) or a positive worker count, got %d", c.Shard.Shards)
+		return fmt.Errorf("shards must be 0 (classic engine) or a positive worker count, got %d", c.Shard.Shards)
 	}
 	for _, g := range []struct {
 		name string
 		geom CacheGeom
 	}{{"L1", c.L1}, {"L2", c.L2}, {"L3", c.L3}} {
 		if g.geom.SizeBytes <= 0 || g.geom.Ways <= 0 {
-			return errf("%s geometry invalid: %+v", g.name, g.geom)
+			return fmt.Errorf("%s geometry invalid: %+v", g.name, g.geom)
 		}
 		if g.geom.Ways > 16 {
-			return errf("%s has %d ways; at most 16 are supported (a set's LRU order is 16 4-bit way numbers in one 64-bit word)", g.name, g.geom.Ways)
+			return fmt.Errorf("%s has %d ways; at most 16 are supported (a set's LRU order is 16 4-bit way numbers in one 64-bit word)", g.name, g.geom.Ways)
 		}
 		if g.geom.SizeBytes%(LineSize*g.geom.Ways) != 0 {
-			return errf("%s size %d not divisible by ways*linesize", g.name, g.geom.SizeBytes)
+			return fmt.Errorf("%s size %d not divisible by ways*linesize", g.name, g.geom.SizeBytes)
 		}
 		if s := g.geom.Sets(); s&(s-1) != 0 {
-			return errf("%s set count %d not a power of two", g.name, s)
+			return fmt.Errorf("%s set count %d not a power of two", g.name, s)
 		}
 	}
 	if c.TSX.MaxNest < 1 {
-		return errf("TSX max nest depth must be >= 1, got %d", c.TSX.MaxNest)
+		return fmt.Errorf("TSX max nest depth must be >= 1, got %d", c.TSX.MaxNest)
 	}
 	if c.STM.LockArrayLog2 < 4 || c.STM.LockArrayLog2 > 28 {
-		return errf("STM lock array log2 out of range: %d", c.STM.LockArrayLog2)
+		return fmt.Errorf("STM lock array log2 out of range: %d", c.STM.LockArrayLog2)
 	}
 	switch c.STM.Protocol {
 	case "", "tinystm", "tl2", "norec":
 	default:
-		return errf("unknown STM protocol %q (want tinystm, tl2 or norec)", c.STM.Protocol)
+		return fmt.Errorf("unknown STM protocol %q (want tinystm, tl2 or norec)", c.STM.Protocol)
 	}
 	return nil
-}
-
-func errf(format string, args ...any) error {
-	return fmt.Errorf(format, args...)
 }

@@ -26,9 +26,6 @@ func NewBitmap(m Mem, al Allocator, n int) Bitmap {
 	return Bitmap{Base: base}
 }
 
-// Bits returns the bitmap size in bits.
-func (b Bitmap) Bits(m Mem) int { return int(m.Load(w(b.Base, bmN))) }
-
 // Test reports whether bit i is set.
 func (b Bitmap) Test(m Mem, i int) bool {
 	word := m.Load(w(b.Base, bmData+i/64))
@@ -45,26 +42,4 @@ func (b Bitmap) Set(m Mem, i int) bool {
 	}
 	m.Store(addr, word|mask)
 	return true
-}
-
-// Clear clears bit i.
-func (b Bitmap) Clear(m Mem, i int) {
-	addr := w(b.Base, bmData+i/64)
-	word := m.Load(addr)
-	m.Store(addr, word&^(1<<uint(i%64)))
-}
-
-// Count returns the number of set bits.
-func (b Bitmap) Count(m Mem) int {
-	n := b.Bits(m)
-	words := (n + 63) / 64
-	total := 0
-	for i := 0; i < words; i++ {
-		v := uint64(m.Load(w(b.Base, bmData+i)))
-		for v != 0 {
-			v &= v - 1
-			total++
-		}
-	}
-	return total
 }

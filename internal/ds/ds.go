@@ -1,6 +1,6 @@
 // Package ds provides the transactional data structures the STAMP ports
 // are built from — queue, sorted list, red-black tree, chained hash table,
-// vector, binary heap and bitmap — all laid out in simulated memory and
+// binary heap and bitmap — all laid out in simulated memory and
 // accessed through a Mem interface, exactly as STAMP's C structures are
 // accessed through the TM_SHARED_READ/WRITE macros.
 //

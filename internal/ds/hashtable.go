@@ -54,17 +54,6 @@ func (h HashTable) Get(m Mem, k int64) (int64, bool) {
 	return h.bucket(m, k).Find(m, k)
 }
 
-// Contains reports whether key is present.
-func (h HashTable) Contains(m Mem, k int64) bool {
-	_, ok := h.Get(m, k)
-	return ok
-}
-
-// Remove deletes key, reporting whether it was present.
-func (h HashTable) Remove(m Mem, al Allocator, k int64) bool {
-	return h.bucket(m, k).Remove(m, al, k)
-}
-
 // Len counts all entries (walks every chain).
 func (h HashTable) Len(m Mem) int {
 	n := 0
@@ -73,22 +62,4 @@ func (h HashTable) Len(m Mem) int {
 		n += l.Len(m)
 	}
 	return n
-}
-
-// Each visits every (key, data) pair in bucket order.
-func (h HashTable) Each(m Mem, fn func(k, data int64) bool) {
-	for i := 0; i < h.nBuckets; i++ {
-		l := List{Head: i2a(m.Load(w(h.Base, htData+i)))}
-		stop := false
-		l.Each(m, func(k, d int64) bool {
-			if !fn(k, d) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
 }

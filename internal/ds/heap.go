@@ -96,11 +96,3 @@ func (h Heap) Pop(m Mem) (k, d int64, ok bool) {
 	}
 	return k, d, true
 }
-
-// Peek returns the minimum without removing it.
-func (h Heap) Peek(m Mem) (k, d int64, ok bool) {
-	if h.Len(m) == 0 {
-		return 0, 0, false
-	}
-	return h.keyAt(m, 0), h.dataAt(m, 0), true
-}

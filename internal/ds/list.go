@@ -98,22 +98,6 @@ func (l List) Find(m Mem, key int64) (data int64, ok bool) {
 	return 0, false
 }
 
-// Remove unlinks and frees the first node with the given key.
-func (l List) Remove(m Mem, al Allocator, key int64) bool {
-	prev := l.Head
-	cur := i2a(m.Load(w(prev, lNext)))
-	for cur != 0 {
-		if m.Load(w(cur, lKey)) == key {
-			m.Store(w(prev, lNext), m.Load(w(cur, lNext)))
-			al.Free(cur, ListNodeWords)
-			return true
-		}
-		prev = cur
-		cur = i2a(m.Load(w(cur, lNext)))
-	}
-	return false
-}
-
 // Each calls fn for every (key, data) pair in list order; fn returning
 // false stops the walk.
 func (l List) Each(m Mem, fn func(key, data int64) bool) {
@@ -122,25 +106,4 @@ func (l List) Each(m Mem, fn func(key, data int64) bool) {
 			return
 		}
 	}
-}
-
-// Clear frees all nodes (not the sentinel).
-func (l List) Clear(m Mem, al Allocator) {
-	cur := i2a(m.Load(w(l.Head, lNext)))
-	for cur != 0 {
-		next := i2a(m.Load(w(cur, lNext)))
-		al.Free(cur, ListNodeWords)
-		cur = next
-	}
-	m.Store(w(l.Head, lNext), 0)
-}
-
-// Keys returns all keys in list order (test/diagnostic helper).
-func (l List) Keys(m Mem) []int64 {
-	var out []int64
-	l.Each(m, func(k, _ int64) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }

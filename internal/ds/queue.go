@@ -29,43 +29,17 @@ func NewQueue(m Mem, al Allocator, capacity int) Queue {
 	return q
 }
 
-// Words returns the allocation size for a capacity (for Free).
-func queueWords(capacity int) int { return qData + capacity }
-
-// Len returns the number of queued elements.
-func (q Queue) Len(m Mem) int {
-	return int(m.Load(w(q.Base, qTail)) - m.Load(w(q.Base, qHead)))
-}
-
-// Push appends v, growing the buffer when full. Growth allocates a new
-// slot array double the size and copies live elements (like STAMP's
-// queue_push).
-func (q *Queue) Push(m Mem, al Allocator, v int64) {
+// Push appends v. Every queue is created with room for all it will ever
+// hold, so a full queue is a bug: Push panics instead of growing it.
+func (q Queue) Push(m Mem, v int64) {
 	capacity := m.Load(w(q.Base, qCap))
 	head := m.Load(w(q.Base, qHead))
 	tail := m.Load(w(q.Base, qTail))
 	if tail-head == capacity {
-		q.grow(m, al, int(capacity), head, tail)
-		capacity = m.Load(w(q.Base, qCap))
-		head = m.Load(w(q.Base, qHead))
-		tail = m.Load(w(q.Base, qTail))
+		panic("ds: push to a full queue")
 	}
 	m.Store(w(q.Base, qData+int(tail%capacity)), v)
 	m.Store(w(q.Base, qTail), tail+1)
-}
-
-func (q *Queue) grow(m Mem, al Allocator, oldCap int, head, tail int64) {
-	newCap := oldCap * 2
-	newBase := al.AllocAligned(qData + newCap)
-	m.Store(w(newBase, qCap), int64(newCap))
-	m.Store(w(newBase, qHead), 0)
-	m.Store(w(newBase, qTail), tail-head)
-	for i := int64(0); i < tail-head; i++ {
-		v := m.Load(w(q.Base, qData+int((head+i)%int64(oldCap))))
-		m.Store(w(newBase, qData+int(i)), v)
-	}
-	al.Free(q.Base, queueWords(oldCap))
-	q.Base = newBase
 }
 
 // Pop removes and returns the oldest element; ok is false when empty.

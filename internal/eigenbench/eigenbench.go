@@ -69,18 +69,6 @@ type Params struct {
 // TxLen returns the transactional memory accesses per transaction.
 func (p Params) TxLen() int { return p.R1 + p.W1 + p.R2 + p.W2 }
 
-// Pollution returns the fraction of transactional accesses that are
-// writes.
-func (p Params) Pollution() float64 {
-	if p.TxLen() == 0 {
-		return 0
-	}
-	return float64(p.W1+p.W2) / float64(p.TxLen())
-}
-
-// WorkingSetBytes returns the per-thread transactional working set.
-func (p Params) WorkingSetBytes() int { return (p.HotWords + p.MildWords) * arch.WordSize }
-
 // ConflictProbability estimates, per Hong et al.'s word-granularity
 // formula, the probability that one transaction conflicts with the writes
 // of the other N-1 concurrently running transactions: each access hits a

@@ -1,7 +1,6 @@
 package eigenbench
 
 import (
-	"math"
 	"testing"
 
 	"rtmlab/internal/arch"
@@ -21,12 +20,6 @@ func TestParamDerivations(t *testing.T) {
 	p := Default(16 << 10)
 	if p.TxLen() != 100 {
 		t.Errorf("txlen = %d", p.TxLen())
-	}
-	if math.Abs(p.Pollution()-0.1) > 1e-9 {
-		t.Errorf("pollution = %g", p.Pollution())
-	}
-	if p.WorkingSetBytes() != 16<<10 {
-		t.Errorf("ws = %d", p.WorkingSetBytes())
 	}
 	if p.ConflictProbability() != 0 {
 		t.Errorf("zero-hot conflict probability = %g", p.ConflictProbability())

@@ -195,7 +195,7 @@ func queueDrain(o Options, backend tm.Backend, threads, n int, localWork uint64)
 	sys.Run(1, 1, func(c *tm.Ctx) {
 		q = ds.NewQueue(c, c, n+1)
 		for i := 0; i < n; i++ {
-			q.Push(c, c, int64(i))
+			q.Push(c, int64(i))
 		}
 	})
 	res := sys.Run(threads, 2, func(c *tm.Ctx) {
@@ -222,7 +222,7 @@ func queueDrainCAS(o Options, threads, n int, localWork uint64) uint64 {
 	sys.Run(1, 1, func(c *tm.Ctx) {
 		q = ds.NewQueue(c, c, n+1)
 		for i := 0; i < n; i++ {
-			q.Push(c, c, int64(i))
+			q.Push(c, int64(i))
 		}
 	})
 	res := sys.Run(threads, 2, func(c *tm.Ctx) {

@@ -716,12 +716,3 @@ func (s *System) RawRMW(p *sim.Proc, addr uint64, f func(int64) int64) int64 {
 	s.h.Poke(addr, f(old))
 	return old
 }
-
-// ActiveLines returns the number of lines currently tracked (for tests).
-func (s *System) ActiveLines() int {
-	n := s.dir.Len()
-	for _, sl := range s.slices {
-		n += sl.Len()
-	}
-	return n
-}

@@ -7,6 +7,7 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/sim"
+	"rtmlab/internal/testbarrier"
 	"rtmlab/internal/vm"
 )
 
@@ -177,7 +178,7 @@ func TestWriteCapacityWallBusySibling(t *testing.T) {
 	probe := func(n int) *Abort {
 		h := mem.New(cfg)
 		sys := NewSystem(cfg, h, nil)
-		b := sim.NewBarrier(5)
+		b := testbarrier.New("TestWriteCapacityWallBusySibling", 5)
 		var abort *Abort
 		sim.Run(cfg, h, 5, 1, nil, func(p *sim.Proc) {
 			tx := sys.Attach(p)
@@ -264,7 +265,7 @@ func TestConflictRequesterWins(t *testing.T) {
 	cfg := tinyCfg()
 	h := mem.New(cfg)
 	sys := NewSystem(cfg, h, nil)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestConflictRequesterWins", 2)
 	var t0Causes []Cause
 	sim.Run(cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -299,7 +300,7 @@ func TestTxVsTxConflict(t *testing.T) {
 	cfg := tinyCfg()
 	h := mem.New(cfg)
 	sys := NewSystem(cfg, h, nil)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestTxVsTxConflict", 2)
 	var loserCauses []Cause
 	var conflictLine uint64
 	sys.AbortHook = func(tid int, a Abort) {
@@ -516,7 +517,7 @@ func TestSiblingHyperThreadConflict(t *testing.T) {
 	cfg := tinyCfg()
 	h := mem.New(cfg)
 	sys := NewSystem(cfg, h, nil)
-	b := sim.NewBarrier(5)
+	b := testbarrier.New("TestSiblingHyperThreadConflict", 5)
 	var victim []Cause
 	sim.Run(cfg, h, 5, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -786,7 +787,7 @@ func TestRequesterWinsAcrossEngines(t *testing.T) {
 				if c.raw {
 					aggressor = eng.rawLoader
 				}
-				warmed, claimed := sim.NewBarrier(eng.threads), sim.NewBarrier(eng.threads)
+				warmed, claimed := testbarrier.New("warmed", eng.threads), testbarrier.New("claimed", eng.threads)
 				delivered := make([]*Abort, eng.threads)
 				var read int64
 				var aggAbort *Abort

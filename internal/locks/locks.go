@@ -11,7 +11,7 @@ package locks
 
 // Mem is the access interface the primitives run on. The tm package's
 // context implements it with strong-atomicity semantics (raw stores abort
-// conflicting hardware transactions); tests can use ProcMem.
+// conflicting hardware transactions).
 type Mem interface {
 	// Load performs a timed coherent read.
 	Load(addr uint64) int64

@@ -6,13 +6,32 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/sim"
+	"rtmlab/internal/testbarrier"
 )
+
+// procMem is the Mem of a bare simulated thread, without TM awareness.
+type procMem struct{ p *sim.Proc }
+
+func (m procMem) Load(addr uint64) int64       { return m.p.Load(addr) }
+func (m procMem) Store(addr uint64, val int64) { m.p.Store(addr, val) }
+func (m procMem) Pause()                       { m.p.Pause() }
+
+// RMW pays store timing, then applies f with no scheduler yield between
+// the read and the write, so no other simulated thread can interleave.
+func (m procMem) RMW(addr uint64, f func(int64) int64) int64 {
+	e := m.p.Engine()
+	m.p.AddCycles(e.Cfg.Lat.AtomicRMW)
+	m.p.StoreTiming(addr)
+	old := e.H.Peek(addr)
+	e.H.Poke(addr, f(old))
+	return old
+}
 
 func runN(n int, seed uint64, body func(p *sim.Proc, m Mem)) *mem.Hierarchy {
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
 	sim.Run(cfg, h, n, seed, nil, func(p *sim.Proc) {
-		body(p, ProcMem{P: p})
+		body(p, procMem{p})
 	})
 	return h
 }
@@ -77,9 +96,9 @@ func TestTicketFairnessFIFO(t *testing.T) {
 	var order []int
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
-	b := sim.NewBarrier(4)
+	b := testbarrier.New("TestTicketFairnessFIFO", 4)
 	sim.Run(cfg, h, 4, 1, nil, func(p *sim.Proc) {
-		m := ProcMem{P: p}
+		m := procMem{p}
 		// Stagger arrival wider than any miss latency so ticket-grab
 		// order is the thread order.
 		p.Work(uint64(1 + 500*p.ID()))
@@ -129,7 +148,7 @@ func TestLockLinePingPong(t *testing.T) {
 	h := mem.New(cfg)
 	l := Ticket{Addr: 0}
 	res := sim.Run(cfg, h, 4, 1, nil, func(p *sim.Proc) {
-		m := ProcMem{P: p}
+		m := procMem{p}
 		for i := 0; i < 50; i++ {
 			l.Lock(m)
 			p.Work(20)

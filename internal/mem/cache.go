@@ -205,14 +205,3 @@ func (c *cache) drop(lineAddr uint64) bool {
 	c.tags[i] = emptyTag
 	return true
 }
-
-// count returns the number of valid entries (for tests).
-func (c *cache) count() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != emptyTag {
-			n++
-		}
-	}
-	return n
-}

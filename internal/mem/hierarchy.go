@@ -130,9 +130,6 @@ func New(cfg *arch.Config) *Hierarchy {
 // Mem exposes the backing store (for allocators and checkers).
 func (h *Hierarchy) Mem() *Memory { return h.mem }
 
-// Config returns the machine description the hierarchy was built with.
-func (h *Hierarchy) Config() *arch.Config { return h.cfg }
-
 // Peek reads a word directly from the backing store with no timing or
 // coherence effects.
 func (h *Hierarchy) Peek(addr uint64) int64 { return h.mem.Read(addr) }
@@ -443,19 +440,4 @@ func (h *Hierarchy) Drop(core int, la uint64) {
 	if dir := h.l3.peekLine(la); dir != nil && int(dir.owner) == core {
 		dir.owner = -1
 	}
-}
-
-// CachedIn reports which levels currently hold la for the given core
-// (L1, L2) and whether L3 holds it at all. For tests and diagnostics.
-func (h *Hierarchy) CachedIn(core int, la uint64) (inL1, inL2, inL3 bool) {
-	return h.l1[core].present(la), h.l2[core].present(la), h.l3.present(la)
-}
-
-// L3Sharers returns the sharer mask and owner core (-1 if none) for la, or
-// (0, -1) if the line is not in L3. For tests.
-func (h *Hierarchy) L3Sharers(la uint64) (sharers uint64, owner int) {
-	if dir := h.l3.peekLine(la); dir != nil {
-		return uint64(dir.sharers), int(dir.owner)
-	}
-	return 0, -1
 }

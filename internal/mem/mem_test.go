@@ -78,7 +78,7 @@ func TestLoadStoreValues(t *testing.T) {
 
 func TestMissThenHitLatencies(t *testing.T) {
 	h := newH()
-	lat := h.Config().Lat
+	lat := h.cfg.Lat
 	_, c1 := h.Load(0, 0)
 	if c1 != lat.Mem {
 		t.Errorf("cold load cost = %d, want %d", c1, lat.Mem)
@@ -95,7 +95,7 @@ func TestMissThenHitLatencies(t *testing.T) {
 
 func TestL1CapacityEviction(t *testing.T) {
 	h := newH()
-	lines := h.Config().L1.Lines()
+	lines := h.cfg.L1.Lines()
 	var evicted []uint64
 	h.Hooks.OnL1Evict = func(core int, la uint64) { evicted = append(evicted, la) }
 	// Fill L1 exactly: sequential lines spread evenly over sets.
@@ -116,11 +116,11 @@ func TestL1CapacityEviction(t *testing.T) {
 
 func TestL2HitAfterL1Eviction(t *testing.T) {
 	h := newH()
-	lat := h.Config().Lat
+	lat := h.cfg.Lat
 	h.Load(0, 0)
 	// Push line 0 out of L1 by filling its set (same set every 64 lines).
-	stride := uint64(h.Config().L1.Sets()) * arch.LineSize
-	for i := 1; i <= h.Config().L1.Ways; i++ {
+	stride := uint64(h.cfg.L1.Sets()) * arch.LineSize
+	for i := 1; i <= h.cfg.L1.Ways; i++ {
 		h.Load(0, uint64(i)*stride)
 	}
 	inL1, inL2, inL3 := h.CachedIn(0, 0)
@@ -138,7 +138,7 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 
 func TestCacheToCacheTransfer(t *testing.T) {
 	h := newH()
-	lat := h.Config().Lat
+	lat := h.cfg.Lat
 	h.Store(0, 0, 7) // core 0 owns the line M
 	_, c := h.Load(1, 0)
 	if c != lat.CacheToCache {
@@ -186,7 +186,7 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 
 func TestSilentEtoMUpgrade(t *testing.T) {
 	h := newH()
-	lat := h.Config().Lat
+	lat := h.cfg.Lat
 	h.Load(0, 0) // exclusive
 	inv := h.Stats.Invalidations
 	c := h.Store(0, 0, 1)
@@ -342,8 +342,8 @@ func TestStatsSub(t *testing.T) {
 
 func TestLRUWithinSet(t *testing.T) {
 	h := newH()
-	ways := h.Config().L1.Ways
-	stride := uint64(h.Config().L1.Sets()) * arch.LineSize
+	ways := h.cfg.L1.Ways
+	stride := uint64(h.cfg.L1.Sets()) * arch.LineSize
 	// Fill one set, touch line 0 again, then overflow: victim must be line 1*stride.
 	for i := 0; i < ways; i++ {
 		h.Load(0, uint64(i)*stride)

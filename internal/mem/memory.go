@@ -41,7 +41,6 @@ type Memory struct {
 	lastDir  *pageDir
 	lastPN   uint64
 	lastPage *[wordsPerPage]int64
-	npages   int
 }
 
 const (
@@ -90,7 +89,6 @@ func (m *Memory) page(addr uint64, allocate bool) *[wordsPerPage]int64 {
 		}
 		p = new([wordsPerPage]int64)
 		dir[pn&dirMask] = p
-		m.npages++
 	}
 	m.lastPN, m.lastPage = pn, p
 	return p
@@ -109,9 +107,6 @@ func (m *Memory) Read(addr uint64) int64 {
 func (m *Memory) Write(addr uint64, val int64) {
 	m.page(addr, true)[wordIndex(addr)] = val
 }
-
-// Pages returns the number of materialised pages (for tests/diagnostics).
-func (m *Memory) Pages() int { return m.npages }
 
 // PagesIn counts the materialised pages intersecting the address range
 // [lo, hi) — diagnostics, e.g. proving an STM protocol never touches the

@@ -229,17 +229,6 @@ func (h *Hist) Mean() float64 {
 	return float64(h.Sum) / float64(h.N)
 }
 
-// MaxBucket returns the exclusive upper bound 2^k of the highest
-// occupied bucket (0 when empty).
-func (h *Hist) MaxBucket() uint64 {
-	for k := len(h.B) - 1; k > 0; k-- {
-		if h.B[k] != 0 {
-			return 1 << uint(k)
-		}
-	}
-	return 0
-}
-
 // siteStats is one row of the per-site x abort-cause matrix.
 type siteStats struct {
 	commits uint64
@@ -341,10 +330,6 @@ func (r *Recorder) Label() string { return r.label }
 // calls this at region end so that events from successive regions land
 // on one monotonic run-global timeline.
 func (r *Recorder) AdvanceBase(regionCycles uint64) { r.base += regionCycles }
-
-// Base returns the accumulated timeline offset (the run-global cycle of
-// the last finished region's end).
-func (r *Recorder) Base() uint64 { return r.base }
 
 // AddWall accumulates host wall-clock nanoseconds spent simulating the
 // recorded regions (see the wallNS field note on determinism).
@@ -502,10 +487,6 @@ func (r *Recorder) Counter(name string) uint64 { return r.counters[name] }
 // Energy appends one region energy sample.
 func (r *Recorder) Energy(s EnergySample) { r.energy = append(r.energy, s) }
 
-// KindCount returns how many events of kind k were ever recorded
-// (including ones since overwritten in a ring).
-func (r *Recorder) KindCount(k Kind) uint64 { return r.kindCount[k] }
-
 // Dropped returns the number of events overwritten across all tracks.
 func (r *Recorder) Dropped() uint64 {
 	var n uint64
@@ -530,6 +511,3 @@ func (r *Recorder) ThreadEvents(tid int) []Event {
 
 // Threads returns the number of thread tracks touched.
 func (r *Recorder) Threads() int { return len(r.threads) }
-
-// Cores returns the number of core (memory) tracks touched.
-func (r *Recorder) Cores() int { return len(r.cores) }

@@ -365,9 +365,6 @@ func (r *Recorder) ShardThreadOps(tid int, opParks, localOps uint64) {
 	st.localOps += localOps
 }
 
-// SpanThreads returns the number of threads with causal state (tests).
-func (r *Recorder) SpanThreads() int { return len(r.spans.threads) }
-
 // MergeFrom folds o's aggregable state into r: histograms, counters,
 // kind counts, wasted-cycle accounting, the site matrix and latency,
 // the blame graphs, per-thread causal totals and span totals. Event

@@ -6,7 +6,6 @@ import "math"
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func ln(x float64) float64   { return math.Log(x) }
-func exp(x float64) float64  { return math.Exp(x) }
 func pow(x, y float64) float64 {
 	return math.Pow(x, y)
 }

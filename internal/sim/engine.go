@@ -71,9 +71,6 @@ func (p *Proc) Cycles() uint64 { return p.clock }
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Hierarchy returns the simulated memory system.
-func (p *Proc) Hierarchy() *mem.Hierarchy { return p.eng.H }
-
 func (p *Proc) preOp() {
 	p.eng.H.Now = p.clock
 	if p.PreOp != nil {
@@ -308,16 +305,6 @@ func (p *Proc) spinInPlace() bool {
 	return p.spinSteps()
 }
 
-// block parks the thread until another thread unblocks it (see Barrier).
-func (p *Proc) block() {
-	e := p.eng
-	e.switches++
-	if e.next = e.pop(); e.next == nil {
-		panic(fmt.Sprintf("sim: deadlock: thread %d blocked with no runnable threads", p.id))
-	}
-	p.handoff()
-}
-
 // handoff runs the thread the scheduler picked (e.next) until the
 // scheduler picks p again. Threads resume one another directly, so the
 // classic engine's coroutines form a resume chain: Run's loop resumed
@@ -358,11 +345,6 @@ func (p *Proc) park() {
 	}
 }
 
-// unblock makes q runnable again (caller must be the running proc).
-func (p *Proc) unblock(q *Proc) {
-	p.eng.push(q)
-}
-
 // finish marks the thread done and picks the next thread to run; the
 // body's coroutine then returns to the thread (or Run's loop) that
 // resumed it.
@@ -373,10 +355,7 @@ func (p *Proc) finish() {
 	}
 	e := p.eng
 	e.coreLive[p.core]--
-	e.remaining--
-	if e.next = e.pop(); e.next == nil && e.remaining > 0 {
-		panic(fmt.Sprintf("sim: deadlock: thread %d finished but %d threads are blocked", p.id, e.remaining))
-	}
+	e.next = e.pop()
 }
 
 // Engine drives one parallel region.
@@ -384,10 +363,13 @@ type Engine struct {
 	Cfg *arch.Config
 	H   *mem.Hierarchy
 
-	procs     []*Proc
-	heap      []*Proc
+	procs []*Proc
+	heap  []*Proc
+	next  *Proc // the thread the classic engine resumes next; nil ends the region
+
+	// remaining counts the sharded engine's threads whose body has not
+	// finished.
 	remaining int
-	next      *Proc // the thread the classic engine resumes next; nil ends the region
 
 	// noYield makes every yield return at once: for the whole of a
 	// single-thread region, and while a spin step runs (see spinStep).
@@ -400,8 +382,8 @@ type Engine struct {
 	htNum    uint64
 	htDen    uint64
 
-	// switches counts scheduler handoffs (yield slow path + blocks;
-	// in shard mode: thread parks).
+	// switches counts scheduler handoffs (the yield slow path; in shard
+	// mode: thread parks).
 	switches uint64
 
 	// coroSwitches counts the coroutine switches the classic engine's
@@ -506,7 +488,6 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 		p := e.procs[0]
 		body(p)
 		e.coreLive[p.core]--
-		e.remaining--
 	} else {
 		for _, p := range e.procs {
 			p.resume, _ = pull(func(suspend func(struct{}) bool) {
@@ -526,9 +507,8 @@ func Run(cfg *arch.Config, h *mem.Hierarchy, n int, seed uint64, setup func(*Pro
 			// resumes the bottom of the resume chain (see handoff): thread
 			// 0 first, then, each time the bottom thread finishes,
 			// finish's pick, whose Spin steps, if it waits, run here
-			// first. A panic in a body (a deadlock, say) leaves resume
-			// and reaches Run's caller; the other threads stay
-			// suspended.
+			// first. A panic in a body leaves resume and reaches Run's
+			// caller; the other threads stay suspended.
 			for i := n - 1; i >= 1; i-- {
 				e.push(e.procs[i])
 			}

@@ -15,7 +15,7 @@
 //     probes, recorder events) are logged as deferred operations.
 //     Synchronous shared-state operations (cache misses, directory
 //     transitions, transaction commits, lock CASes) park the thread.
-//   - Boundary: when every thread has parked, blocked or run past the
+//   - Boundary: when every thread has parked or run past the
 //     epoch end, the coordinator merges all deferred and parked
 //     operations whose issue cycle lies inside the epoch and executes
 //     them serially in (cycle, thread id, sequence) order against the
@@ -89,9 +89,6 @@ type defPayload struct {
 	name string
 }
 
-// Cycle returns the simulated cycle at which the operation was issued.
-func (d *ShardDef) Cycle() uint64 { return d.cycle }
-
 // Parked synchronous operation kinds.
 const (
 	pNone uint8 = iota
@@ -103,10 +100,9 @@ const (
 
 // Per-proc shard status.
 const (
-	shRun     uint8 = iota // running, or suspended at a yield with nothing pending
-	shOpWait               // parked with a synchronous op awaiting its boundary
-	shBlocked              // barrier-blocked until an exclusive fn unparks it
-	shDone                 // body returned
+	shRun    uint8 = iota // running, or suspended at a yield with nothing pending
+	shOpWait              // parked with a synchronous op awaiting its boundary
+	shDone                // body returned
 )
 
 // procShard is the per-thread state of the sharded engine (Proc.sh; nil
@@ -469,13 +465,13 @@ func (se *shardEngine) replay(p *Proc, d *ShardDef) {
 
 // advance moves the epoch end past the earliest pending activity,
 // skipping empty epochs (backoff windows, skewed clocks) in one step.
+// run calls it only while some thread's body has not returned.
 func (se *shardEngine) advance() {
-	const inf = ^uint64(0)
-	m := inf
+	m := ^uint64(0)
 	for _, p := range se.e.procs {
 		ps := p.sh
 		switch ps.status {
-		case shDone, shBlocked:
+		case shDone:
 			continue
 		case shOpWait:
 			if ps.opCycle < m {
@@ -486,9 +482,6 @@ func (se *shardEngine) advance() {
 				m = p.clock
 			}
 		}
-	}
-	if m == inf {
-		panic("sim: shard deadlock: every live thread is blocked")
 	}
 	se.end = (m/se.epochLen + 1) * se.epochLen
 }
@@ -561,9 +554,7 @@ func (se *shardEngine) execPark(p *Proc) {
 	}
 	ps.opFn = nil
 	ps.opKind = pNone
-	if ps.status == shOpWait {
-		ps.status = shRun // unless the fn blocked the thread (barrier)
-	}
+	ps.status = shRun
 }
 
 // ---- Proc-side shard operations (parallel phase) ----
@@ -773,18 +764,6 @@ func (p *Proc) shardParkOp(kind uint8, addr uint64, val int64, fn func()) int64 
 func (p *Proc) shardFinish() {
 	p.shardParkOp(pExcl, 0, 0, p.sh.finishFn)
 	p.sh.status = shDone
-}
-
-// shardBlock converts the current boundary execution of this thread's
-// parked op into a blocked state (barrier arrival); only meaningful from
-// inside an Exclusive fn.
-func (p *Proc) shardBlock() { p.sh.status = shBlocked }
-
-// shardUnblock releases a blocked thread at the given clock; only
-// meaningful from inside an Exclusive fn.
-func (p *Proc) shardUnblock(clock uint64) {
-	p.clock = clock
-	p.sh.status = shRun
 }
 
 // ---- Shard-path Proc operations ----

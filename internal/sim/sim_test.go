@@ -2,12 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
+	"rtmlab/internal/testbarrier"
 )
 
 func run(t *testing.T, n int, seed uint64, body func(*Proc)) Result {
@@ -111,40 +111,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestBarrierAlignsClocks(t *testing.T) {
-	b := NewBarrier(4)
-	var after [4]uint64
-	run(t, 4, 1, func(p *Proc) {
-		p.Work(uint64(50 * (p.ID() + 1)))
-		b.Wait(p)
-		after[p.ID()] = p.Cycles()
-	})
-	for i, c := range after {
-		if c != 200 {
-			t.Fatalf("thread %d clock after barrier = %d, want 200", i, c)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	b := NewBarrier(3)
-	counter := 0
-	run(t, 3, 1, func(p *Proc) {
-		for round := 0; round < 5; round++ {
-			if p.ID() == 0 {
-				counter++
-			}
-			p.Work(uint64(1 + p.Rng.Intn(30)))
-			b.Wait(p)
-		}
-	})
-	if counter != 5 {
-		t.Fatalf("counter = %d, want 5", counter)
-	}
-}
-
 func TestSharedMemoryVisibility(t *testing.T) {
-	b := NewBarrier(2)
+	b := testbarrier.New("stored", 2)
 	var got int64
 	run(t, 2, 1, func(p *Proc) {
 		if p.ID() == 0 {
@@ -209,7 +177,7 @@ func TestHyperThreadsShareL1(t *testing.T) {
 	// loaded by thread 0.
 	cfg := arch.Haswell()
 	h := mem.New(cfg)
-	b := NewBarrier(5)
+	b := testbarrier.New("loaded", 5)
 	var cost uint64
 	Run(cfg, h, 5, 1, nil, func(p *Proc) {
 		if p.ID() == 0 {
@@ -271,13 +239,13 @@ func TestHTPenaltyLiftsWhenSiblingFinishes(t *testing.T) {
 }
 
 func TestEngineStressMixedOps(t *testing.T) {
-	// Heavy mixed workload with barriers: exercises handoff, blocking,
-	// heap scheduling and HT scaling together; the run must terminate and
-	// stay deterministic.
+	// Heavy mixed workload with barriers: exercises handoff, heap
+	// scheduling and HT scaling together; the run must terminate and stay
+	// deterministic.
 	runOnce := func() uint64 {
 		cfg := arch.Haswell()
 		h := mem.New(cfg)
-		b := NewBarrier(8)
+		b := testbarrier.New("round", 8)
 		res := Run(cfg, h, 8, 21, nil, func(p *Proc) {
 			for round := 0; round < 5; round++ {
 				for i := 0; i < 200; i++ {
@@ -333,15 +301,9 @@ func TestDeadlockPanicsOutOfRun(t *testing.T) {
 		}
 		return !p.nested
 	}
-	b := NewBarrier(3)
-	v := runRecover(2, func(p *Proc) { b.Wait(p) })
-	if s, ok := v.(string); !ok || !strings.HasPrefix(s, "sim: deadlock: ") {
-		t.Fatalf("barrier of 3 waited on by 2: recovered %#v, want a sim: deadlock: panic", v)
-	}
-
 	type custom struct{ id int }
 	want := &custom{id: 7}
-	v = runRecover(3, func(p *Proc) {
+	v := runRecover(3, func(p *Proc) {
 		p.Work(uint64(10 * (p.ID() + 1)))
 		if p.ID() == 1 {
 			panic(want)
@@ -365,19 +327,34 @@ func TestDeadlockPanicsOutOfRun(t *testing.T) {
 	if v != want || !chained {
 		t.Fatalf("body panic on top of a 4-deep chain (chain seen: %v): recovered %#v, want the value the body raised", chained, v)
 	}
+}
 
-	// Each arriver blocks and resumes the next thread, so the deadlock
-	// is found by thread 3's block, with threads 0-2 on the chain.
-	chained = false
-	b = NewBarrier(5)
-	v = runRecover(4, func(p *Proc) {
-		if p.ID() == 3 {
-			chained = onChain(p)
+// TestBarrierGivesUp is the deadlock check of a miscounted test barrier:
+// on either engine, two threads waiting at a barrier of 3 must end Run
+// with the barrier's panic, which names it, once a waiter has polled
+// testbarrier.MaxPolls times.
+func TestBarrierGivesUp(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := arch.Haswell()
+		cfg.Shard = arch.Sharding{Shards: shards}
+		b := testbarrier.New("short", 3)
+		var clock [2]uint64
+		v := func() (v any) {
+			defer func() { v = recover() }()
+			Run(cfg, mem.New(cfg), 2, 1, nil, func(p *Proc) {
+				defer func() { clock[p.ID()] = p.Cycles() }()
+				b.Wait(p)
+			})
+			return nil
+		}()
+		want := fmt.Sprintf("testbarrier: barrier short: 2 of 3 threads arrived, a waiter gave up after %d polls", testbarrier.MaxPolls)
+		if v != want {
+			t.Fatalf("shards %d: barrier of 3 waited on by 2: recovered %#v, want %q", shards, v, want)
 		}
-		b.Wait(p)
-	})
-	if want := "sim: deadlock: thread 3 blocked with no runnable threads"; v != want || !chained {
-		t.Fatalf("barrier of 5 waited on by 4 (chain seen: %v): recovered %#v, want %q", chained, v, want)
+		// The waiter that gave up spent its bound in Pauses and no more.
+		if c, want := max(clock[0], clock[1]), uint64(testbarrier.MaxPolls*PauseCycles); c != want {
+			t.Fatalf("shards %d: the waiter gave up at cycle %d, want %d", shards, c, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"rtmlab/internal/mem"
 	"rtmlab/internal/obs"
 	"rtmlab/internal/rng"
+	"rtmlab/internal/testbarrier"
 )
 
 // The spin programs' shared words: the flag that holds set and waits
@@ -52,7 +53,8 @@ type spinOp struct {
 // spinProgram is one thread's ops per thread, plus the barrier every
 // thread waits at once when barrier is set. A hold never contains a
 // wait and always ends by storing 0, so once every other thread has
-// finished or blocked the flag reads 0 and no wait spins for ever.
+// finished or reached the barrier the flag reads 0 and no wait spins for
+// ever.
 type spinProgram struct {
 	threads []([]spinOp)
 	barrier bool
@@ -124,7 +126,7 @@ func runSpinProgram(t *testing.T, prog spinProgram, flag0 int64, wait func(*Proc
 	col.Rings = true
 	h.Rec = col.Recorder(0, "spin")
 	h.Poke(spinFlag, flag0)
-	b := NewBarrier(len(prog.threads))
+	b := testbarrier.New("program", len(prog.threads))
 	var seq uint64
 	var e *Engine
 	var do func(p *Proc, op spinOp)
@@ -282,7 +284,13 @@ func TestSpinCases(t *testing.T) {
 				prog.threads = append(prog.threads, append(work(uint64(i), 1), wait...))
 			}
 			var live []int
-			runSpinProgram(t, prog, 0, (*Proc).Spin, func(p *Proc, _ spinOpKind) { live = append(live, p.eng.remaining) })
+			runSpinProgram(t, prog, 0, (*Proc).Spin, func(p *Proc, _ spinOpKind) {
+				n := 0
+				for _, c := range p.eng.coreLive {
+					n += c
+				}
+				live = append(live, n)
+			})
 			if len(live) != n-1 || live[0] != n-1 {
 				t.Fatalf("%d threads: live threads as each wait ended: %v, want %d waits, the first with the holder gone", n, live, n-1)
 			}
@@ -292,7 +300,7 @@ func TestSpinCases(t *testing.T) {
 
 	t.Run("barrier block while others spin", func(t *testing.T) {
 		// Thread 3 reaches the barrier first, while both waiters spin,
-		// and blocks: its handoff loop runs their steps in place until
+		// and polls it: its handoff loop runs their steps in place until
 		// the holder is picked. The others arrive once the holder has
 		// released the flag.
 		prog := spinProgram{barrier: true, threads: [][]spinOp{

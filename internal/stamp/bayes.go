@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -67,7 +69,7 @@ func (b *Bayes) Setup(c *tm.Ctx, seed uint64) {
 		if from == to {
 			to = (to + 1) % int64(b.Vars)
 		}
-		b.tasks.Push(c, c, from<<32|to)
+		b.tasks.Push(c, from<<32|to)
 	}
 	b.applied = 0
 }
@@ -184,14 +186,14 @@ func (b *Bayes) Validate(sys *tm.System) error {
 			}
 		}
 		if got := h.Peek(b.parents + uint64(to)*arch.WordSize); got != n {
-			return errf("bayes: parents[%d] = %d, adjacency says %d", to, got, n)
+			return fmt.Errorf("bayes: parents[%d] = %d, adjacency says %d", to, got, n)
 		}
 	}
 	if edges != b.applied {
-		return errf("bayes: %d edges, %d applied", edges, b.applied)
+		return fmt.Errorf("bayes: %d edges, %d applied", edges, b.applied)
 	}
 	if b.applied == 0 {
-		return errf("bayes: no structure learned")
+		return fmt.Errorf("bayes: no structure learned")
 	}
 	// Acyclicity via Kahn's algorithm on the host.
 	indeg := make([]int, b.Vars)
@@ -223,7 +225,7 @@ func (b *Bayes) Validate(sys *tm.System) error {
 		}
 	}
 	if removed != b.Vars {
-		return errf("bayes: learned graph has a cycle")
+		return fmt.Errorf("bayes: learned graph has a cycle")
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -191,16 +193,16 @@ func (g *Genome) Parallel(sys *tm.System, threads int, seed uint64) {
 // Validate compares the reconstruction with the original gene.
 func (g *Genome) Validate(sys *tm.System) error {
 	if len(g.rebuilt) != g.N {
-		return errf("genome: rebuilt %d chars, want %d", len(g.rebuilt), g.N)
+		return fmt.Errorf("genome: rebuilt %d chars, want %d", len(g.rebuilt), g.N)
 	}
 	for i := range g.gene {
 		if g.rebuilt[i] != g.gene[i] {
-			return errf("genome: mismatch at %d", i)
+			return fmt.Errorf("genome: mismatch at %d", i)
 		}
 	}
 	// The dedup set must contain every segment exactly once.
 	if n := g.uniq.Len(hostPeek{sys}); n != g.S {
-		return errf("genome: %d unique segments, want %d", n, g.S)
+		return fmt.Errorf("genome: %d unique segments, want %d", n, g.S)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -113,7 +115,7 @@ func (b *Intruder) Setup(c *tm.Ctx, seed uint64) {
 		c.Store(pk+pkIdx*arch.WordSize, fr.idx)
 		c.Store(pk+pkN*arch.WordSize, fr.n)
 		c.Store(pk+pkPay*arch.WordSize, fr.pay)
-		b.capture.Push(c, c, int64(pk))
+		b.capture.Push(c, int64(pk))
 	}
 	b.flows = ds.NewRBTree(c, c)
 	b.decoded = ds.NewQueue(c, c, b.Flows+1)
@@ -185,7 +187,7 @@ func (b *Intruder) reassemble(c *tm.Ctx, pk uint64, tid int, found *[]int64, pro
 		t.Store(rec+flGot*arch.WordSize, got)
 		if got == nFrags {
 			b.flows.Delete(t, c, flowID)
-			b.decoded.Push(t, c, int64(rec)) //rtmvet:ignore grow allocates from the deterministic simulated allocator; a regrow re-executed after abort wastes arena words but stays correct and deterministic
+			b.decoded.Push(t, int64(rec))
 		}
 	})
 
@@ -248,20 +250,20 @@ func (b *Intruder) detectLoop(c *tm.Ctx, tid int, found *[]int64, processed *int
 // planted attacks were detected.
 func (b *Intruder) Validate(sys *tm.System) error {
 	if b.processed != int64(b.Flows) {
-		return errf("intruder: processed %d flows, want %d", b.processed, b.Flows)
+		return fmt.Errorf("intruder: processed %d flows, want %d", b.processed, b.Flows)
 	}
 	for id := range b.found {
 		if id < 0 {
-			return errf("intruder: flow %d reassembled out of order", -id-1)
+			return fmt.Errorf("intruder: flow %d reassembled out of order", -id-1)
 		}
 	}
 	for id := range b.attackIDs {
 		if !b.found[id] {
-			return errf("intruder: planted attack %d not detected", id)
+			return fmt.Errorf("intruder: planted attack %d not detected", id)
 		}
 	}
 	if n := b.flows.Count(hostPeek{sys}); n != 0 {
-		return errf("intruder: %d incomplete flows left in tree", n)
+		return fmt.Errorf("intruder: %d incomplete flows left in tree", n)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"math"
 
 	"rtmlab/internal/arch"
@@ -167,7 +169,7 @@ func (k *KMeans) Validate(sys *tm.System) error {
 	for i := range centers {
 		centers[i] = i2f(h.Peek(k.centers + uint64(i)*arch.WordSize))
 		if math.IsNaN(centers[i]) || math.IsInf(centers[i], 0) {
-			return errf("kmeans: centroid %d not finite", i)
+			return fmt.Errorf("kmeans: centroid %d not finite", i)
 		}
 	}
 	sums := make([]float64, k.K*k.D)
@@ -195,7 +197,7 @@ func (k *KMeans) Validate(sys *tm.System) error {
 		total += n
 	}
 	if total != k.N {
-		return errf("kmeans: assignment count %d != N %d", total, k.N)
+		return fmt.Errorf("kmeans: assignment count %d != N %d", total, k.N)
 	}
 	if false {
 		// (With convergence-gated iterations this checked the fixed point;
@@ -207,7 +209,7 @@ func (k *KMeans) Validate(sys *tm.System) error {
 			for d := 0; d < k.D; d++ {
 				ref := sums[j*k.D+d] / float64(counts[j])
 				if math.Abs(ref-centers[j*k.D+d]) > 0.05 {
-					return errf("kmeans: centroid (%d,%d) not at fixed point: %g vs %g",
+					return fmt.Errorf("kmeans: centroid (%d,%d) not at fixed point: %g vs %g",
 						j, d, centers[j*k.D+d], ref)
 				}
 			}

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -78,7 +80,7 @@ func (l *Labyrinth) Setup(c *tm.Ctx, seed uint64) {
 		}
 	}
 	for p := 0; p < l.Paths; p++ {
-		l.work.Push(c, c, packPair(pick(), pick()))
+		l.work.Push(c, packPair(pick(), pick()))
 	}
 	l.pairs = l.Paths
 	l.routed = nil
@@ -217,29 +219,29 @@ func (l *Labyrinth) route(c *tm.Ctx, t tm.Tx, tid int, src, dst int, id int64) b
 func (l *Labyrinth) Validate(sys *tm.System) error {
 	h := sys.H
 	if len(l.routed)+l.failures != l.pairs {
-		return errf("labyrinth: %d routed + %d failed != %d pairs",
+		return fmt.Errorf("labyrinth: %d routed + %d failed != %d pairs",
 			len(l.routed), l.failures, l.pairs)
 	}
 	if len(l.routed) == 0 {
-		return errf("labyrinth: no path routed at all")
+		return fmt.Errorf("labyrinth: no path routed at all")
 	}
 	cellsOf := map[int64][]int{}
 	for i := 0; i < l.cells(); i++ {
 		v := h.Peek(l.grid + uint64(i)*arch.WordSize)
 		if v < 0 {
-			return errf("labyrinth: negative cell value leaked at %d", i)
+			return fmt.Errorf("labyrinth: negative cell value leaked at %d", i)
 		}
 		if v > 0 {
 			cellsOf[v] = append(cellsOf[v], i)
 		}
 	}
 	if len(cellsOf) != len(l.routed) {
-		return errf("labyrinth: %d ids on grid, %d routed", len(cellsOf), len(l.routed))
+		return fmt.Errorf("labyrinth: %d ids on grid, %d routed", len(cellsOf), len(l.routed))
 	}
 	for _, id := range l.routed {
 		cells := cellsOf[id]
 		if len(cells) == 0 {
-			return errf("labyrinth: routed id %d missing from grid", id)
+			return fmt.Errorf("labyrinth: routed id %d missing from grid", id)
 		}
 		// Connectivity: every cell of the path reaches every other
 		// through same-id neighbours.
@@ -266,7 +268,7 @@ func (l *Labyrinth) Validate(sys *tm.System) error {
 			}
 		}
 		if len(visited) != len(cells) {
-			return errf("labyrinth: path %d disconnected (%d of %d cells)", id, len(visited), len(cells))
+			return fmt.Errorf("labyrinth: path %d disconnected (%d of %d cells)", id, len(visited), len(cells))
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/rng"
 	"rtmlab/internal/tm"
@@ -120,18 +122,18 @@ func (g *SSCA2) Validate(sys *tm.System) error {
 	for v := 0; v < g.V; v++ {
 		d := h.Peek(g.degree + uint64(v)*arch.WordSize)
 		if d != degrees[v] {
-			return errf("ssca2: degree[%d] = %d, want %d", v, d, degrees[v])
+			return fmt.Errorf("ssca2: degree[%d] = %d, want %d", v, d, degrees[v])
 		}
 		if f := h.Peek(g.fill + uint64(v)*arch.WordSize); f != d {
-			return errf("ssca2: fill[%d] = %d, want %d", v, f, d)
+			return fmt.Errorf("ssca2: fill[%d] = %d, want %d", v, f, d)
 		}
 		if off := h.Peek(g.offset + uint64(v)*arch.WordSize); off != total {
-			return errf("ssca2: offset[%d] = %d, want %d", v, off, total)
+			return fmt.Errorf("ssca2: offset[%d] = %d, want %d", v, off, total)
 		}
 		total += d
 	}
 	if total != int64(g.E) {
-		return errf("ssca2: total degree %d != E %d", total, g.E)
+		return fmt.Errorf("ssca2: total degree %d != E %d", total, g.E)
 	}
 	// Adjacency must contain exactly the edges of each vertex.
 	for v := 0; v < g.V; v++ {
@@ -141,14 +143,14 @@ func (g *SSCA2) Validate(sys *tm.System) error {
 			dst := h.Peek(g.adj + uint64(off+s)*arch.WordSize)
 			key := [2]int64{int64(v), dst}
 			if edges[key] == 0 {
-				return errf("ssca2: spurious edge %d->%d in adjacency", v, dst)
+				return fmt.Errorf("ssca2: spurious edge %d->%d in adjacency", v, dst)
 			}
 			edges[key]--
 		}
 	}
 	for k, n := range edges {
 		if n != 0 {
-			return errf("ssca2: edge %v missing from adjacency (%d left)", k, n)
+			return fmt.Errorf("ssca2: edge %v missing from adjacency (%d left)", k, n)
 		}
 	}
 	return nil

@@ -16,8 +16,6 @@
 package stamp
 
 import (
-	"fmt"
-
 	"rtmlab/internal/arch"
 	"rtmlab/internal/energy"
 	"rtmlab/internal/mem"
@@ -202,16 +200,3 @@ const (
 	Small
 	Full
 )
-
-func (s Scale) String() string {
-	switch s {
-	case Test:
-		return "test"
-	case Small:
-		return "small"
-	default:
-		return "full"
-	}
-}
-
-func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }

@@ -191,17 +191,3 @@ func TestAbortBreakdownSums(t *testing.T) {
 		t.Fatalf("breakdown sum %d wildly exceeds aborts %d", sum, res.Aborts)
 	}
 }
-
-func TestVacationMixedSessions(t *testing.T) {
-	for _, backend := range []tm.Backend{tm.Seq, tm.STM, tm.HTM} {
-		n := 1
-		if backend != tm.Seq {
-			n = 4
-		}
-		v := NewVacation(Test, false)
-		v.UserPct = 60 // 60% reservations, 20% deletions, 20% updates
-		if _, err := Run(v, backend, n, 11, nil); err != nil {
-			t.Errorf("%v: %v", backend, err)
-		}
-	}
-}

@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"rtmlab/internal/arch"
 	"rtmlab/internal/ds"
 	"rtmlab/internal/rng"
@@ -17,8 +19,8 @@ import (
 //  1. single tree lookup per item (the node pointer is reused for the
 //     price query and the availability update, instead of three
 //     searches);
-//  2. O(1) prepend into the customer's reservation list (cancellations
-//     only iterate, so ordering is unnecessary);
+//  2. O(1) prepend into the customer's reservation list (the list is
+//     only ever walked, so ordering is unnecessary);
 //  3. a pre-touching allocator, eliminating page-fault (misc3) aborts
 //     from in-transaction allocation.
 type Vacation struct {
@@ -26,8 +28,6 @@ type Vacation struct {
 	Customers int
 	Sessions  int // total client sessions
 	Queries   int // items examined per session
-	UserPct   int // percentage of reservation sessions (-u; rest split
-	// between customer deletions and table updates)
 	Optimized bool
 
 	tables  [3]ds.RBTree // car, room, flight
@@ -49,11 +49,11 @@ const (
 func NewVacation(s Scale, optimized bool) *Vacation {
 	switch s {
 	case Test:
-		return &Vacation{Relations: 128, Customers: 32, Sessions: 128, Queries: 2, UserPct: 100, Optimized: optimized}
+		return &Vacation{Relations: 128, Customers: 32, Sessions: 128, Queries: 2, Optimized: optimized}
 	case Small:
-		return &Vacation{Relations: 1024, Customers: 256, Sessions: 1024, Queries: 4, UserPct: 100, Optimized: optimized}
+		return &Vacation{Relations: 1024, Customers: 256, Sessions: 1024, Queries: 4, Optimized: optimized}
 	default:
-		return &Vacation{Relations: 8192, Customers: 2048, Sessions: 8192, Queries: 4, UserPct: 100, Optimized: optimized}
+		return &Vacation{Relations: 8192, Customers: 2048, Sessions: 8192, Queries: 4, Optimized: optimized}
 	}
 }
 
@@ -95,86 +95,35 @@ func (v *Vacation) Setup(c *tm.Ctx, seed uint64) {
 	}
 }
 
-// Parallel issues the client sessions. With UserPct=100 this is the
-// paper's Table-V workload (-u 100, reservations only); lower values mix
-// in customer deletions and table updates like STAMP's default runs.
+// Parallel issues the client sessions: reservations only, the paper's
+// Table-V workload (-u 100).
 func (v *Vacation) Parallel(sys *tm.System, threads int, seed uint64) {
 	sys.Run(threads, seed, func(c *tm.Ctx) {
 		lo := c.P.ID() * v.Sessions / threads
 		hi := (c.P.ID() + 1) * v.Sessions / threads
 		for s := lo; s < hi; s++ {
-			kind := c.P.Rng.Intn(100)
+			// STAMP draws each session's kind (reservation, deletion or
+			// update); at -u 100 every kind is a reservation, but the draw
+			// stays so that every later draw, and so the output, is
+			// unchanged.
+			c.P.Rng.Intn(100)
 			custID := int64(c.P.Rng.Intn(v.Customers))
-			switch {
-			case kind < v.UserPct:
-				// Pre-draw the queried items (ids fixed per session so
-				// every retry sees the same working set, like the C
-				// original's per-task query arrays).
-				queries := make([]vacQuery, v.Queries)
-				for q := range queries {
-					queries[q] = vacQuery{tbl: c.P.Rng.Intn(3), id: int64(c.P.Rng.Intn(v.Relations))}
-				}
-				c.AtomicSite("reserve", func(t tm.Tx) {
-					if v.Optimized {
-						v.reserveOpt(c, t, custID, queries)
-					} else {
-						v.reserveBase(c, t, custID, queries)
-					}
-				})
-			case kind < v.UserPct+(100-v.UserPct)/2:
-				c.AtomicSite("delete", func(t tm.Tx) {
-					v.deleteCustomer(c, t, custID)
-				})
-			default:
-				tbl := c.P.Rng.Intn(3)
-				id := int64(c.P.Rng.Intn(v.Relations))
-				grow := c.P.Rng.Bool(0.5)
-				c.AtomicSite("update", func(t tm.Tx) {
-					v.updateTable(t, tbl, id, grow)
-				})
+			// Pre-draw the queried items (ids fixed per session so every
+			// retry sees the same working set, like the C original's
+			// per-task query arrays).
+			queries := make([]vacQuery, v.Queries)
+			for q := range queries {
+				queries[q] = vacQuery{tbl: c.P.Rng.Intn(3), id: int64(c.P.Rng.Intn(v.Relations))}
 			}
+			c.AtomicSite("reserve", func(t tm.Tx) {
+				if v.Optimized {
+					v.reserveOpt(c, t, custID, queries)
+				} else {
+					v.reserveBase(c, t, custID, queries)
+				}
+			})
 		}
 	})
-}
-
-// deleteCustomer cancels every reservation the customer holds, returning
-// the capacity to the resource tables (STAMP's DeleteCustomer session).
-func (v *Vacation) deleteCustomer(c *tm.Ctx, t tm.Tx, custID int64) {
-	listHead, ok := v.cust.Get(t, custID)
-	if !ok {
-		return
-	}
-	lst := ds.List{Head: uint64(listHead)}
-	lst.Each(t, func(k, _ int64) bool {
-		tbl := int(k >> 32)
-		id := k & 0xffffffff
-		if recI, found := v.tables[tbl].Get(t, id); found {
-			rec := uint64(recI)
-			t.Store(rec+rAvail*arch.WordSize, t.Load(rec+rAvail*arch.WordSize)+1)
-		}
-		return true
-	})
-	lst.Clear(t, c)
-}
-
-// updateTable grows or shrinks one resource (STAMP's UpdateTables
-// session). Shrinking only removes unreserved capacity, so conservation
-// holds.
-func (v *Vacation) updateTable(t tm.Tx, tbl int, id int64, grow bool) {
-	recI, ok := v.tables[tbl].Get(t, id)
-	if !ok {
-		return
-	}
-	rec := uint64(recI)
-	total := t.Load(rec + rTotal*arch.WordSize)
-	avail := t.Load(rec + rAvail*arch.WordSize)
-	if grow {
-		t.Store(rec+rTotal*arch.WordSize, total+1)
-		t.Store(rec+rAvail*arch.WordSize, avail+1)
-	} else if avail > 0 {
-		t.Store(rec+rTotal*arch.WordSize, total-1)
-		t.Store(rec+rAvail*arch.WordSize, avail-1)
-	}
 }
 
 // reserveBase mirrors the original programming style: existence check,
@@ -282,7 +231,7 @@ func (v *Vacation) Validate(sys *tm.System) error {
 		return true
 	})
 	if custEntries < 0 {
-		return errf("vacation: reservation with non-positive price")
+		return fmt.Errorf("vacation: reservation with non-positive price")
 	}
 	totalReserved := int64(0)
 	for tbl := 0; tbl < 3; tbl++ {
@@ -292,13 +241,13 @@ func (v *Vacation) Validate(sys *tm.System) error {
 			total := m.Load(rec + rTotal*arch.WordSize)
 			avail := m.Load(rec + rAvail*arch.WordSize)
 			if avail < 0 || avail > total {
-				err = errf("vacation: table %d item %d avail %d out of [0,%d]", tbl, id, avail, total)
+				err = fmt.Errorf("vacation: table %d item %d avail %d out of [0,%d]", tbl, id, avail, total)
 				return false
 			}
 			taken := total - avail
 			totalReserved += taken
 			if reserved[resKey(tbl, id)] != taken {
-				err = errf("vacation: table %d item %d: %d reserved in lists, %d taken",
+				err = fmt.Errorf("vacation: table %d item %d: %d reserved in lists, %d taken",
 					tbl, id, reserved[resKey(tbl, id)], taken)
 				return false
 			}
@@ -309,7 +258,7 @@ func (v *Vacation) Validate(sys *tm.System) error {
 		}
 	}
 	if int(totalReserved) != custEntries {
-		return errf("vacation: %d taken != %d list entries", totalReserved, custEntries)
+		return fmt.Errorf("vacation: %d taken != %d list entries", totalReserved, custEntries)
 	}
 	return nil
 }

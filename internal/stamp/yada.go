@@ -1,6 +1,8 @@
 package stamp
 
 import (
+	"fmt"
+
 	"slices"
 
 	"rtmlab/internal/arch"
@@ -281,10 +283,10 @@ func (y *Yada) rewire(t tm.Tx, e, nid int64) {
 func (y *Yada) Validate(sys *tm.System) error {
 	m := hostPeek{sys}
 	if y.processed == 0 {
-		return errf("yada: nothing refined")
+		return fmt.Errorf("yada: nothing refined")
 	}
 	if y.elems > int64(len(y.arena)) {
-		return errf("yada: elems %d exceeds arena %d", y.elems, len(y.arena))
+		return fmt.Errorf("yada: elems %d exceeds arena %d", y.elems, len(y.arena))
 	}
 	// Ids are handed out in per-thread regions, so the live set is sparse
 	// in [0, elemCap): walk the whole arena and let alive flags select.
@@ -300,17 +302,17 @@ func (y *Yada) Validate(sys *tm.System) error {
 		}
 		n := m.Load(rec + eN*arch.WordSize)
 		if n < 0 || n > eDeg {
-			return errf("yada: element %d has %d neighbours", id, n)
+			return fmt.Errorf("yada: element %d has %d neighbours", id, n)
 		}
 		for j := int64(0); j < n; j++ {
 			nb := m.Load(rec + uint64(eNbr0+int(j))*arch.WordSize)
 			if nb >= int64(len(y.arena)) {
-				return errf("yada: element %d links to unknown %d", id, nb)
+				return fmt.Errorf("yada: element %d links to unknown %d", id, nb)
 			}
 		}
 	}
 	if aliveBad > 0 && !y.grewOut {
-		return errf("yada: %d bad elements left alive with work heap drained", aliveBad)
+		return fmt.Errorf("yada: %d bad elements left alive with work heap drained", aliveBad)
 	}
 	return nil
 }

@@ -4,10 +4,7 @@
 // kmeans "see significant deviations in execution times").
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Sample accumulates observations.
 type Sample struct {
@@ -16,9 +13,6 @@ type Sample struct {
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
-
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.xs) }
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
@@ -54,12 +48,4 @@ func (s *Sample) CV() float64 {
 		return 0
 	}
 	return s.StdDev() / math.Abs(m)
-}
-
-// String renders "mean±sd" with sensible precision.
-func (s *Sample) String() string {
-	if s.N() < 2 {
-		return fmt.Sprintf("%.2f", s.Mean())
-	}
-	return fmt.Sprintf("%.2f±%.2f", s.Mean(), s.StdDev())
 }

@@ -19,8 +19,8 @@ func TestMeanStdDev(t *testing.T) {
 	if math.Abs(s.StdDev()-2.138089935) > 1e-6 {
 		t.Errorf("stddev = %g", s.StdDev())
 	}
-	if s.N() != 8 {
-		t.Errorf("n = %d", s.N())
+	if len(s.xs) != 8 {
+		t.Errorf("n = %d", len(s.xs))
 	}
 }
 
@@ -32,9 +32,6 @@ func TestEmptyAndSingle(t *testing.T) {
 	s.Add(3)
 	if s.Mean() != 3 || s.StdDev() != 0 {
 		t.Fatal("single sample")
-	}
-	if s.String() != "3.00" {
-		t.Fatalf("string = %s", s.String())
 	}
 }
 
@@ -65,7 +62,7 @@ func TestMeanBounds(t *testing.T) {
 			s.Add(x)
 			lo, hi = min(lo, x), max(hi, x)
 		}
-		if s.N() == 0 {
+		if len(s.xs) == 0 {
 			return true
 		}
 		m := s.Mean()

@@ -29,8 +29,6 @@ type valEntry struct {
 
 type norec struct{}
 
-func (norec) Name() string { return NOrecName }
-
 // Begin samples the sequence lock, waiting out a committing writer.
 func (norec) Begin(t *Txn) {
 	s := t.sys

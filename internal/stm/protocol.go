@@ -27,8 +27,6 @@ func Protocols() []string { return []string{TinySTMName, TL2Name, NOrecName} }
 // The interface is sealed (shardInit is unexported): protocols are
 // defined in this package and selected by name through the arch config.
 type Protocol interface {
-	// Name returns the selector name, one of Protocols().
-	Name() string
 	// Begin establishes the transaction's snapshot (samples the version
 	// clock, or waits out a NOrec writer). The dispatcher has already
 	// charged the fixed begin cost.

@@ -6,6 +6,7 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/sim"
+	"rtmlab/internal/testbarrier"
 )
 
 // newProtoSys builds a system running the named protocol.
@@ -25,12 +26,13 @@ func TestProtocolNames(t *testing.T) {
 		cfg.STM.Protocol = name
 		return cfg.Validate()
 	}
+	want := map[string]Protocol{TinySTMName: tinySTM{}, TL2Name: tl2{}, NOrecName: norec{}}
 	for _, name := range Protocols() {
 		if err := valid(name); err != nil {
 			t.Errorf("listed protocol %q not valid: %v", name, err)
 		}
-		if got := protocolFor(name).Name(); got != name {
-			t.Errorf("protocolFor(%q).Name() = %q", name, got)
+		if got := protocolFor(name); got != want[name] {
+			t.Errorf("protocolFor(%q) = %T", name, got)
 		}
 	}
 	if err := valid(""); err != nil {
@@ -39,7 +41,7 @@ func TestProtocolNames(t *testing.T) {
 	if valid("bogus") == nil {
 		t.Error("bogus protocol accepted")
 	}
-	if protocolFor("").Name() != TinySTMName {
+	if protocolFor("") != (tinySTM{}) {
 		t.Error("default protocol is not tinystm")
 	}
 }
@@ -169,7 +171,7 @@ func TestProtocolDeterministicTiming(t *testing.T) {
 // TestReadLockedAborts — an encounter-time lock conflict.)
 func TestTL2ReadIgnoresUncommittedWriter(t *testing.T) {
 	_, h, sys := newProtoSys(TL2Name)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestTL2ReadIgnoresUncommittedWriter", 2)
 	var reasons []Reason
 	var loaded int64 = -1
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
@@ -206,7 +208,7 @@ func TestTL2ReadIgnoresUncommittedWriter(t *testing.T) {
 // TestSnapshotExtension).
 func TestTL2NoExtension(t *testing.T) {
 	_, h, sys := newProtoSys(TL2Name)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestTL2NoExtension", 2)
 	var sawValidation bool
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -248,7 +250,7 @@ func TestTL2NoExtension(t *testing.T) {
 // version-based protocol cannot make this distinction.
 func TestNOrecSilentWriteSurvives(t *testing.T) {
 	_, h, sys := newProtoSys(NOrecName)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestNOrecSilentWriteSurvives", 2)
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
 		if p.ID() == 0 {
@@ -281,7 +283,7 @@ func TestNOrecSilentWriteSurvives(t *testing.T) {
 // commit changes a value the reader depends on, revalidation fails.
 func TestNOrecValueChangeAborts(t *testing.T) {
 	_, h, sys := newProtoSys(NOrecName)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestNOrecValueChangeAborts", 2)
 	var sawValidation bool
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -337,15 +339,18 @@ func TestLockArrayTraffic(t *testing.T) {
 		})
 		return h, sys
 	}
+	lockRange := func(s *System) (lo, hi uint64) {
+		return s.lockBase, s.lockBase + (s.lockMask+1)*arch.WordSize
+	}
 	for _, proto := range []string{TinySTMName, TL2Name} {
 		h, sys := run(proto)
-		lo, hi := sys.LockRange()
+		lo, hi := lockRange(sys)
 		if pages := h.Mem().PagesIn(lo, hi); pages == 0 {
 			t.Errorf("%s: expected lock-array traffic, saw none", proto)
 		}
 	}
 	h, sys := run(NOrecName)
-	lo, hi := sys.LockRange()
+	lo, hi := lockRange(sys)
 	if pages := h.Mem().PagesIn(lo, hi); pages != 0 {
 		t.Errorf("norec touched %d lock-array pages, want 0", pages)
 	}

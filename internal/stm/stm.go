@@ -163,12 +163,6 @@ func NewSystem(cfg *arch.Config, h *mem.Hierarchy, pt *vm.PageTable) *System {
 	}
 }
 
-// LockRange returns the simulated address range [lo, hi) of the
-// versioned-lock array (diagnostics: norec must never touch it).
-func (s *System) LockRange() (lo, hi uint64) {
-	return s.lockBase, s.lockBase + (s.lockMask+1)*arch.WordSize
-}
-
 // lockOf maps a data address to its versioned-lock address.
 //
 //rtm:hot
@@ -224,9 +218,6 @@ func (s *System) Attach(p *sim.Proc) *Txn {
 	}
 	return tx
 }
-
-// Active reports whether a transaction is in flight.
-func (t *Txn) Active() bool { return t.active }
 
 // Begin starts a transaction: the protocol establishes its snapshot
 // (a real, timed metadata load — the clock or sequence-lock line is the

@@ -6,6 +6,7 @@ import (
 	"rtmlab/internal/arch"
 	"rtmlab/internal/mem"
 	"rtmlab/internal/sim"
+	"rtmlab/internal/testbarrier"
 	"rtmlab/internal/vm"
 )
 
@@ -82,7 +83,7 @@ func TestWriteBackIsInvisibleBeforeCommit(t *testing.T) {
 
 func TestReadLockedAborts(t *testing.T) {
 	_, h, sys := newSys()
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestReadLockedAborts", 2)
 	var reasons []Reason
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -144,7 +145,7 @@ func TestSnapshotExtension(t *testing.T) {
 	// A reader that sees a version newer than its snapshot must extend and
 	// keep going when its reads are still valid.
 	_, h, sys := newSys()
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestSnapshotExtension", 2)
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
 		if p.ID() == 0 {
@@ -170,7 +171,7 @@ func TestValidationFailureAborts(t *testing.T) {
 	// Reader reads X; writer commits X; reader then reads a newer-versioned
 	// word and cannot extend -> validation abort.
 	_, h, sys := newSys()
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestValidationFailureAborts", 2)
 	var sawValidation bool
 	sim.Run(sys.cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)
@@ -259,7 +260,7 @@ func TestFalseConflictViaLockCollision(t *testing.T) {
 	if sys.lockOf(a1) != sys.lockOf(a2) {
 		t.Fatal("test addresses do not collide")
 	}
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestFalseConflictViaLockCollision", 2)
 	var reasons []Reason
 	sim.Run(cfg, h, 2, 1, nil, func(p *sim.Proc) {
 		tx := sys.Attach(p)

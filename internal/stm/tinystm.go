@@ -20,8 +20,6 @@ package stm
 
 type tinySTM struct{}
 
-func (tinySTM) Name() string { return TinySTMName }
-
 // Begin samples the global clock (a real, timed load — the clock line
 // shared by every thread is the classic TinySTM scalability bottleneck).
 func (tinySTM) Begin(t *Txn) {

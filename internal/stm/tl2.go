@@ -22,8 +22,6 @@ package stm
 
 type tl2 struct{}
 
-func (tl2) Name() string { return TL2Name }
-
 // Begin samples the global clock, exactly like TinySTM.
 func (tl2) Begin(t *Txn) {
 	t.rv = wordVersion(t.proc.Load(t.sys.clockAddr))

@@ -304,9 +304,6 @@ type Ctx struct {
 // count increments this thread's count of a counter.
 func (c *Ctx) count(name string) { c.sys.Counters.Inc(c.P.ID(), name) }
 
-// System returns the owning system.
-func (c *Ctx) System() *System { return c.sys }
-
 // --- Raw (non-transactional) accesses -----------------------------------
 
 // Load performs a plain (uninstrumented) read. Under HTM, a plain load
@@ -418,12 +415,6 @@ type Tx interface {
 
 // restartSignal implements Restart for the lock/seq backends.
 type restartSignal struct{}
-
-// Retries reports how many attempts of the last atomic block aborted,
-// under any backend and in any phase — restarts included — which is the
-// number of abort events the block sent to the flight recorder (0 for a
-// first-try commit).
-func (c *Ctx) Retries() int { return c.aborts }
 
 // AtomicSite runs an atomic block tagged with a site name. Per-site
 // counters accumulate in System.Counters: "site:<name>:commits",

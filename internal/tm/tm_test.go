@@ -5,7 +5,7 @@ import (
 
 	"rtmlab/internal/arch"
 	"rtmlab/internal/perf"
-	"rtmlab/internal/sim"
+	"rtmlab/internal/testbarrier"
 )
 
 var allBackends = []Backend{Seq, Lock, STM, HTM, HTMBare, Hybrid}
@@ -321,7 +321,7 @@ func TestCtxImplementsLocksMem(t *testing.T) {
 	// The fallback path locks through the Ctx itself; exercise the RMW
 	// with an active reader transaction to confirm strong atomicity.
 	sys := NewSystem(arch.Haswell(), HTM)
-	b := sim.NewBarrier(2)
+	b := testbarrier.New("TestCtxImplementsLocksMem", 2)
 	var victim bool
 	sys.Run(2, 1, func(c *Ctx) {
 		if c.P.ID() == 0 {

@@ -74,6 +74,3 @@ func (pt *PageTable) Service(sink CycleSink, addr uint64) {
 		}
 	}
 }
-
-// FreshPages returns the number of currently fresh (untouched) pages.
-func (pt *PageTable) FreshPages() int { return pt.fresh.Len() }

@@ -16,8 +16,8 @@ func TestFreshPagesFault(t *testing.T) {
 		t.Fatal("unmapped addresses should be considered resident")
 	}
 	pt.MarkFresh(0, 3*arch.PageSize)
-	if pt.FreshPages() != 3 {
-		t.Fatalf("fresh pages = %d, want 3", pt.FreshPages())
+	if pt.fresh.Len() != 3 {
+		t.Fatalf("fresh pages = %d, want 3", pt.fresh.Len())
 	}
 	if pt.Touched(arch.PageSize + 8) {
 		t.Fatal("fresh page reported touched")
@@ -43,8 +43,8 @@ func TestFreshPagesFault(t *testing.T) {
 func TestMarkFreshPartialPage(t *testing.T) {
 	pt := NewPageTable()
 	pt.MarkFresh(arch.PageSize-8, 16) // straddles two pages
-	if pt.FreshPages() != 2 {
-		t.Fatalf("fresh pages = %d, want 2", pt.FreshPages())
+	if pt.fresh.Len() != 2 {
+		t.Fatalf("fresh pages = %d, want 2", pt.fresh.Len())
 	}
 }
 
@@ -62,7 +62,7 @@ func TestServiceNilSink(t *testing.T) {
 	pt := NewPageTable()
 	pt.MarkFresh(0, arch.PageSize)
 	pt.Service(nil, 0) // must not panic
-	if pt.FreshPages() != 0 {
+	if pt.fresh.Len() != 0 {
 		t.Fatal("page not serviced")
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI preflight: fast correctness gate run before any expensive experiment
-# sweep. Covers vet, build, the full unit-test suite, and a race-detector
+# sweep. Covers vet, build, the full unit-test suite, a race-detector
 # pass over the packages with real concurrency (the experiment runner and
-# everything an experiment point touches concurrently).
+# everything an experiment point touches concurrently) and the list of
+# functions no experiment runs (scripts/unrun.sh).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -151,6 +152,13 @@ echo "== rtmreport smoke (causal report + cross-engine diff gate) =="
 go run ./cmd/rtmreport "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -json "$obsdir/metrics4/table4.json" > /dev/null
 go run ./cmd/rtmreport -diff -same-commits "$obsdir/metrics/table4.json" "$obsdir/metrics4/table4.json" > /dev/null
+
+echo "== unrun functions (scripts/unrun.sh) =="
+# Every function that no experiment run of scripts/runs.sh enters must be
+# listed, with the reason it stays, in scripts/unrun.txt; new dead code,
+# or a listed function that now runs, fails here. The instrumented runs
+# take about 4 minutes on a 2-vCPU host.
+sh scripts/unrun.sh
 
 echo "== disabled-recorder overhead, handoff and cache gate (htm, sim, mem vs the parent commit, same host) =="
 # The flight recorder must cost nothing when off: every site is a nil

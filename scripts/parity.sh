@@ -13,10 +13,8 @@
 # wall-clock and are the one output skipped. Exits 0 when everything
 # matches, 1 otherwise.
 #
-# The set: `all` on the classic engine; fig10 table4 table5 claims hybrid
-# at -shards 2; fig10 hybrid under -stm-protocol tl2 and under norec;
-# table4 hybrid with -trace, the only run that stores recorder events.
-# `all` alone takes about 96 s per revision on a 2-vCPU host.
+# The runs are the list in scripts/runs.sh, which scripts/unrun.sh runs
+# too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,30 +33,10 @@ git archive "$base" | tar -x -C "$tmp/src"
 (cd "$tmp/src" && go build -o "$tmp/rtmlab-base" ./cmd/rtmlab)
 go build -o "$tmp/rtmlab-head" ./cmd/rtmlab
 
-# One run per line: a name, then the rtmlab arguments.
-runs='classic all
-shards2 -shards 2 fig10 table4 table5 claims hybrid
-tl2 -stm-protocol tl2 fig10 hybrid
-norec -stm-protocol norec fig10 hybrid
-traced table4 hybrid'
-
+. scripts/runs.sh
 for side in base head; do
-	echo "$runs" | while read -r name args; do
-		echo "== ${side}: ${name} (${args}) =="
-		out="$tmp/$side/$name"
-		mkdir -p "$out"
-		if [ "$name" = traced ]; then
-			args="-trace $out/trace.json $args"
-		fi
-		# $args is split on purpose: it is a list of flags and experiments.
-		# shellcheck disable=SC2086
-		if "$tmp/rtmlab-$side" -scale test -seeds 1 -csv "$out/csv" -metrics "$out/metrics" \
-			$args > "$out/stdout.txt" 2> "$tmp/$side.$name.stderr"; then
-			echo 0 > "$out/exit"
-		else
-			echo $? > "$out/exit"
-		fi
-	done
+	echo "== ${side} =="
+	run_all "$tmp/rtmlab-$side" "$tmp/$side"
 done
 
 echo "== compare =="
